@@ -61,13 +61,18 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=2s . \
 		| $(GO) run ./cmd/bench2json -o BENCH_interp.json
 
-# SVM training-pipeline benchmarks (serial baseline vs pooled search
-# with the kernel cache, plus the cache's miss/hit unit costs),
-# recorded in BENCH_svm.json. The grid search runs a fixed iteration
-# count because one search takes seconds; the cache benches need many
-# iterations to resolve the ns-scale hit path.
+# SVM training-pipeline benchmarks, recorded in BENCH_svm.json:
+# BenchmarkGridSearch (serial baseline vs pooled search with the
+# kernel cache) caps SMO at 300 iterations, where kernel work
+# dominates; BenchmarkSolve is one SMO fit at the default cap of
+# 100·n iterations, where the solver's own passes dominate, as on the
+# real IPAS grid; BenchmarkKernelCache gives the cache's miss/hit unit
+# costs. The grid search runs a fixed iteration count because one
+# search takes seconds; the cache benches need many iterations to
+# resolve the ns-scale hit path.
 bench-svm:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkGridSearch' -benchtime=2x ./internal/svm && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=20x ./internal/svm && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKernelCache' -benchtime=1000x ./internal/svm; } \
 		| $(GO) run ./cmd/bench2json -o BENCH_svm.json
 
@@ -77,6 +82,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=1x . \
 		| $(GO) run ./cmd/bench2json -o bench_smoke_interp.json
 	{ $(GO) test -run '^$$' -bench 'BenchmarkGridSearch' -benchtime=1x ./internal/svm && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=1x ./internal/svm && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKernelCache' -benchtime=100x ./internal/svm; } \
 		| $(GO) run ./cmd/bench2json -o bench_smoke_svm.json
 
@@ -136,20 +142,24 @@ errmodel-smoke:
 # Short randomized-schedule fuzz of the simulated MPI runtime under
 # the race detector: random rank programs with random comm patterns
 # must keep outcome classes schedule-independent and clean/deadlock
-# results bit-identical (see FuzzMPISchedule). CI runs this as a
+# results bit-identical (see FuzzMPISchedule). Then a short fuzz of
+# the SMO solver against its frozen pre-rewrite reference, which must
+# agree bit for bit (see FuzzSolveDifferential). CI runs this as a
 # smoke; run it open-ended with a larger -fuzztime to go hunting.
 fuzz-smoke:
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
+	$(GO) test -run '^FuzzSolveDifferential$$' -fuzz '^FuzzSolveDifferential$$' -fuzztime 10s ./internal/svm
 
 # Long-running fuzz of the differential oracle (fused fast loop vs
-# instrumented loop vs IR reference walker) and the MPI schedule
-# invariants. The nightly CI job runs each for 10 minutes and uploads
-# any crashers from testdata/fuzz as artifacts; FUZZTIME overrides the
-# budget locally.
+# instrumented loop vs IR reference walker), the MPI schedule
+# invariants and the SMO solver vs its frozen reference. The nightly
+# CI job runs each for 10 minutes and uploads any crashers from
+# testdata/fuzz as artifacts; FUZZTIME overrides the budget locally.
 FUZZTIME ?= 10m
 fuzz-nightly:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime $(FUZZTIME) -race ./internal/interp
+	$(GO) test -run '^FuzzSolveDifferential$$' -fuzz '^FuzzSolveDifferential$$' -fuzztime $(FUZZTIME) ./internal/svm
 
 # One benchmark per paper table/figure plus component and ablation
 # benches; writes bench_output.txt.

@@ -239,6 +239,9 @@ func main() {
 	fmt.Printf("  Baseline %s: SOC reduction %.1f%% at %.2fx slowdown\n", bb.Label(), bb.SOCReductionPct, bb.Slowdown)
 	fmt.Printf("\ntraining %v (IPAS) + %v (baseline); classification+duplication %v\n",
 		res.TrainIPASTime.Round(msRound), res.TrainBaselineTime.Round(msRound), res.ProtectTime.Round(msRound))
+	points := len(opts.Grid.Cs) * len(opts.Grid.Gammas)
+	fmt.Printf("  IPAS: %d of %d grid points hit the SMO iteration cap\n", res.CappedIPAS, points)
+	fmt.Printf("  Baseline: %d of %d grid points hit the SMO iteration cap\n", res.CappedBaseline, points)
 
 	if *saveClassifier != "" {
 		if err := core.SaveClassifier(*saveClassifier, bi.Classifier); err != nil {

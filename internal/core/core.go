@@ -180,8 +180,16 @@ func Train(d *TrainingData, labels []int, grid svm.GridSpec, topN int) ([]*Class
 // and per-grid-point progress flows into Controls.Progress under the
 // given stage name. Results are bit-identical for any worker count.
 func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.GridSpec, topN int, cc *CampaignControls, stage string) ([]*Classifier, error) {
+	out, _, err := trainContext(ctx, d, labels, grid, topN, cc, stage)
+	return out, err
+}
+
+// trainContext is TrainContext that also counts the grid points at
+// which at least one cross-validation fold stopped at the SMO
+// iteration cap.
+func trainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.GridSpec, topN int, cc *CampaignControls, stage string) ([]*Classifier, int, error) {
 	if len(labels) != len(d.X) {
-		return nil, fmt.Errorf("core: %d labels for %d samples", len(labels), len(d.X))
+		return nil, 0, fmt.Errorf("core: %d labels for %d samples", len(labels), len(d.X))
 	}
 	pos := 0
 	for _, y := range labels {
@@ -190,7 +198,7 @@ func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.G
 		}
 	}
 	if pos == 0 || pos == len(labels) {
-		return nil, fmt.Errorf("core: degenerate training set (%d of %d positive)", pos, len(labels))
+		return nil, 0, fmt.Errorf("core: degenerate training set (%d of %d positive)", pos, len(labels))
 	}
 
 	scaler := svm.FitScaler(d.X)
@@ -198,7 +206,13 @@ func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.G
 	grid.WeightByClassFreq = true
 	configs, err := svm.GridSearchContext(ctx, prob, grid, cc.SearchOptions(stage))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	capped := 0
+	for _, cfg := range configs {
+		if cfg.CV.CappedFolds > 0 {
+			capped++
+		}
 	}
 
 	// Final fits share one distance matrix and kernel cache across the
@@ -208,11 +222,11 @@ func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.G
 	for _, cfg := range svm.TopN(configs, topN) {
 		model, err := svm.TrainWithKernel(ctx, prob, cfg.Params, cache.Matrix(cfg.Params.Gamma), nil)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out = append(out, &Classifier{Model: model, Scaler: scaler, Config: cfg})
 	}
-	return out, nil
+	return out, capped, nil
 }
 
 // SelectSites applies a trained classifier to every site of the module

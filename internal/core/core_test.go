@@ -8,7 +8,7 @@ import (
 	"ipas/internal/workloads"
 )
 
-func loadApp(t *testing.T, name string) *App {
+func loadApp(t testing.TB, name string) *App {
 	t.Helper()
 	spec := workloads.MustGet(name, 1)
 	m, err := spec.Compile()

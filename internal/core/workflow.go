@@ -91,6 +91,11 @@ type Result struct {
 	TrainIPASTime     time.Duration
 	TrainBaselineTime time.Duration
 	ProtectTime       time.Duration
+	// CappedIPAS / CappedBaseline count each training's grid points at
+	// which some cross-validation fold's SMO run stopped at the
+	// iteration cap instead of converging.
+	CappedIPAS     int
+	CappedBaseline int
 }
 
 // AllVariants returns every variant for iteration, unprotected first.
@@ -157,21 +162,23 @@ func RunWithDataContext(ctx context.Context, app *App, data *TrainingData, opts 
 	res := &Result{Data: data}
 
 	t0 := time.Now()
-	ipasCls, err := TrainContext(ctx, data, data.Labels(PolicyIPAS), opts.Grid, opts.TopN, opts.Controls, "train IPAS")
+	ipasCls, cappedIPAS, err := trainContext(ctx, data, data.Labels(PolicyIPAS), opts.Grid, opts.TopN, opts.Controls, "train IPAS")
 	if err != nil {
 		return nil, fmt.Errorf("core: training IPAS classifier: %w", err)
 	}
 	res.TrainIPASTime = time.Since(t0)
+	res.CappedIPAS = cappedIPAS
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	t0 = time.Now()
-	baseCls, err := TrainContext(ctx, data, data.Labels(PolicyBaseline), opts.Grid, opts.TopN, opts.Controls, "train Baseline")
+	baseCls, cappedBaseline, err := trainContext(ctx, data, data.Labels(PolicyBaseline), opts.Grid, opts.TopN, opts.Controls, "train Baseline")
 	if err != nil {
 		return nil, fmt.Errorf("core: training baseline classifier: %w", err)
 	}
 	res.TrainBaselineTime = time.Since(t0)
+	res.CappedBaseline = cappedBaseline
 
 	// Unprotected golden run, shared by every variant's slowdown ratio.
 	// The config carries no fault plan, site counting, or budget, so

@@ -227,3 +227,41 @@ func TestTrainContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestGridSearchCappedFolds checks that the capped-fold count is the
+// same on the cached path for every worker count as on the serial
+// reference path, and that the test grid has points on both sides of
+// the cap, so the comparison is not trivially all zeros.
+func TestGridSearchCappedFolds(t *testing.T) {
+	p := overlappingBlobs(90)
+	spec := testSpec()
+	capped := func(cfgs []Config) map[[2]float64]int {
+		m := map[[2]float64]int{}
+		for _, c := range cfgs {
+			m[[2]float64{c.Params.C, c.Params.Gamma}] = c.CV.CappedFolds
+		}
+		return m
+	}
+	ref, err := serialReferenceSearch(p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := capped(ref)
+	var some, none bool
+	for _, k := range want {
+		some = some || k > 0
+		none = none || k == 0
+	}
+	if !some || !none {
+		t.Fatalf("capped folds per grid point %v: want points with and without capped folds", want)
+	}
+	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		cfgs, err := GridSearchContext(context.Background(), p, spec, SearchOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := capped(cfgs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: capped folds %v, serial reference %v", w, got, want)
+		}
+	}
+}

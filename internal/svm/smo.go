@@ -123,7 +123,9 @@ const ctxCheckInterval = 1024
 // indices of the support vectors alongside.
 //
 // We solve: min 1/2 αᵀQα - eᵀα, 0 ≤ α_i ≤ C_i, yᵀα = 0,
-// where Q_ij = y_i y_j K_ij. G is the gradient Qα - e.
+// where Q_ij = y_i y_j K_ij and G = Qα - e is the gradient. The loop
+// keeps mg_t = -y_t·G_t rather than G and computes every value the
+// textbook form would, bit for bit (DESIGN.md §8, "Solver inner loop").
 func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Model, []int, error) {
 	n := len(p.X)
 	params = params.withDefaults(n)
@@ -140,9 +142,36 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 	}
 
 	alpha := make([]float64, n)
-	G := make([]float64, n)
-	for i := range G {
-		G[i] = -1
+	// G starts at -1, so mg starts at y.
+	mg := make([]float64, n)
+	copy(mg, y)
+	// qd is K's diagonal, contiguous for the WSS2 scan.
+	qd := make([]float64, n)
+	for t := range qd {
+		qd[t] = K[t][t]
+	}
+	// up[t] (LIBSVM's I_up) marks samples whose y_t·α_t may grow, low[t]
+	// (I_low) those whose y_t·α_t may shrink. Only the updated pair's
+	// flags change per iteration.
+	up := make([]bool, n)
+	low := make([]bool, n)
+	setFlags := func(t int) {
+		up[t] = (y[t] > 0 && alpha[t] < cN[t]) || (y[t] < 0 && alpha[t] > 0)
+		low[t] = (y[t] > 0 && alpha[t] > 0) || (y[t] < 0 && alpha[t] < cN[t])
+	}
+	for t := range up {
+		setFlags(t)
+	}
+
+	// i maximises mg over I_up. After the first iteration it is chosen
+	// by the gradient update pass, which scans the same values in the
+	// same order.
+	i, gmax := -1, math.Inf(-1)
+	for t, v := range mg {
+		if up[t] && v > gmax {
+			gmax = v
+			i = t
+		}
 	}
 
 	iter := 0
@@ -152,39 +181,31 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 				return nil, nil, err
 			}
 		}
-		// Select the maximal violating pair (i, j).
-		i, j := -1, -1
-		gmax, gmin := math.Inf(-1), math.Inf(1)
-		for t := 0; t < n; t++ {
-			if (y[t] > 0 && alpha[t] < cN[t]) || (y[t] < 0 && alpha[t] > 0) {
-				if v := -y[t] * G[t]; v > gmax {
-					gmax = v
-					i = t
-				}
-			}
-		}
 		if i < 0 {
 			break
 		}
 		// Second-order selection (LIBSVM WSS2): among violating j,
 		// pick the one with the largest decrease of the objective.
-		objMin := math.Inf(1)
-		for t := 0; t < n; t++ {
-			if (y[t] > 0 && alpha[t] > 0) || (y[t] < 0 && alpha[t] < cN[t]) {
-				gt := -y[t] * G[t]
-				if gt < gmin {
-					gmin = gt
+		Ki := K[i][:n]
+		kii, yi2 := qd[i], 2*y[i]
+		j := -1
+		gmin, objMin := math.Inf(1), math.Inf(1)
+		for t, gt := range mg {
+			if !low[t] {
+				continue
+			}
+			if gt < gmin {
+				gmin = gt
+			}
+			diff := gmax - gt
+			if diff > 0 {
+				quad := kii + qd[t] - yi2*y[t]*Ki[t]
+				if quad <= 0 {
+					quad = 1e-12
 				}
-				diff := gmax - gt
-				if diff > 0 {
-					quad := K[i][i] + K[t][t] - 2*y[i]*y[t]*K[i][t]
-					if quad <= 0 {
-						quad = 1e-12
-					}
-					if obj := -diff * diff / quad; obj < objMin {
-						objMin = obj
-						j = t
-					}
+				if obj := -diff * diff / quad; obj < objMin {
+					objMin = obj
+					j = t
 				}
 			}
 		}
@@ -193,11 +214,11 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 		}
 
 		// Analytic update of the pair.
-		quad := K[i][i] + K[j][j] - 2*y[i]*y[j]*K[i][j]
+		quad := kii + qd[j] - yi2*y[j]*Ki[j]
 		if quad <= 0 {
 			quad = 1e-12
 		}
-		delta := (-y[i]*G[i] + y[j]*G[j]) / quad
+		delta := (mg[i] - mg[j]) / quad
 		oldAi, oldAj := alpha[i], alpha[j]
 		alpha[i] += y[i] * delta
 		alpha[j] -= y[j] * delta
@@ -214,8 +235,20 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 		if dAi == 0 && dAj == 0 {
 			break
 		}
-		for t := 0; t < n; t++ {
-			G[t] += y[t] * (y[i]*K[i][t]*dAi + y[j]*K[j][t]*dAj)
+		setFlags(i)
+		setFlags(j)
+
+		// Gradient update fused with the next iteration's i-selection.
+		Kj := K[j][:n]
+		ydi, ydj := y[i]*dAi, y[j]*dAj
+		i, gmax = -1, math.Inf(-1)
+		for t, v := range mg {
+			v -= Ki[t]*ydi + Kj[t]*ydj
+			mg[t] = v
+			if up[t] && v > gmax {
+				gmax = v
+				i = t
+			}
 		}
 	}
 
@@ -223,8 +256,13 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 	var bSum float64
 	nFree := 0
 	lb, ub := math.Inf(-1), math.Inf(1)
-	for t := 0; t < n; t++ {
-		v := -y[t] * G[t]
+	for t, v := range mg {
+		if v == 0 {
+			// Neither G nor mg ever holds -0: both start at ±1 and
+			// change only by rounded sums. So where mg holds +0,
+			// -y_t·G_t is -0 for y_t = +1; restore that sign for B.
+			v = math.Copysign(0, -y[t])
+		}
 		if alpha[t] > 0 && alpha[t] < cN[t] {
 			bSum += v
 			nFree++
