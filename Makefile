@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check bench-compose compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly experiments experiments-paper examples clean
+.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check bench-compose compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly experiments experiments-paper examples loc clean
 
 build:
 	$(GO) build ./...
@@ -179,6 +179,14 @@ examples:
 	$(GO) run ./examples/customkernel
 	$(GO) run ./examples/faultinjection
 	$(GO) run ./examples/mpiscaling
+
+# Go line counts, the size figure each change reports: non-test and
+# test lines, both excluding perfbench/ (a separate module) and hidden
+# build directories.
+GO_FILES = find . -path './.*' -prune -o -path ./perfbench -prune -o -name '*.go'
+loc:
+	@printf 'non-test Go lines: %s\n' "$$($(GO_FILES) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 clean:
 	rm -f bench_output.txt test_output.txt bench_smoke_interp.json bench_smoke_svm.json bench_smoke_compose.json

@@ -251,7 +251,7 @@ func main() {
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "flipit: interrupted (%v): %d/%d trials completed\n", ctx.Err(), res.Completed, *n)
-		if journal != nil || (*shards > 1 && *journalPath != "") {
+		if *journalPath != "" {
 			fmt.Fprintf(os.Stderr, "flipit: checkpoint saved; rerun with -journal %s -resume to continue\n", *journalPath)
 		} else {
 			fmt.Fprintln(os.Stderr, "flipit: no -journal was set, so this partial progress is lost on exit")

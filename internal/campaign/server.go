@@ -75,8 +75,7 @@ type state struct {
 	leaseOf      []*lease
 
 	restored  int   // trials recovered from durable journals on admit
-	recovered []int // shards whose corrupt journal was deleted on admit
-	hadPrior  bool  // any durable trial or merged journal existed
+	recovered []int // shards whose corrupt journal was rebuilt on admit
 	complete  bool
 	finalErr  error // merged-journal write failure, surfaced in Progress
 }
@@ -295,7 +294,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case len(st.recovered) > 0:
 		status = http.StatusAccepted
-	case st.hadPrior:
+	case st.restored > 0:
 		status = http.StatusOK
 	}
 	s.logf("campaign %s admitted: %d trials, %d shards, %d restored, %d shard journals recovered",
@@ -305,10 +304,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// admitLocked registers a campaign and restores its journal directory,
-// mirroring the in-process engine's recovery rules: torn tails are
-// truncated on open, a corrupt shard journal is deleted and its shard
-// re-run, a valid journal of a different campaign is never clobbered.
+// admitLocked registers a campaign and restores its journal directory
+// through shard.OpenDir, the in-process engine's own recovery path:
+// torn tails are truncated on open, a corrupt shard journal is rebuilt
+// and its shard re-run, a valid journal of a different campaign is
+// never clobbered.
 func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fault.JournalMeta) (*state, error) {
 	plans := prep.Plans(spec.Trials)
 	st := &state{
@@ -321,24 +321,19 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 		plans:        plans,
 		res:          prep.NewResult(plans),
 		sm:           shard.NewStateMachine(spec.Shards),
-		journals:     make([]*fault.Journal, spec.Shards),
 		jmu:          make([]sync.Mutex, spec.Shards),
 		failedShard:  make([]bool, spec.Shards),
 		backoffUntil: make([]time.Time, spec.Shards),
 		leaseOf:      make([]*lease, spec.Shards),
 	}
-	if err := os.MkdirAll(st.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("creating campaign dir: %w", err)
-	}
-	if err := s.restoreMergedLocked(st); err != nil {
+	journals, recovered, err := shard.OpenDir(st.dir, meta, st.k, st.res.Trials)
+	if err != nil {
 		return nil, err
 	}
-	for sh := 0; sh < st.k; sh++ {
-		if err := s.openShardJournalLocked(st, sh); err != nil {
-			closeJournals(st)
-			return nil, err
-		}
+	for _, j := range journals {
+		j.SetFsyncEvery(s.opts.FsyncEvery)
 	}
+	st.journals, st.recovered = journals, recovered
 	for t := range st.res.Trials {
 		if st.res.Trials[t].Status != fault.TrialPending {
 			st.restored++
@@ -355,110 +350,6 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 	sort.Strings(s.ids)
 	s.maybeCompleteLocked(st)
 	return st, nil
-}
-
-// restoreMergedLocked loads a completed prior run's merged journal,
-// with the in-process engine's recovery split: corrupt → delete and
-// rebuild from shard journals, foreign → hard mismatch error.
-func (s *Server) restoreMergedLocked(st *state) error {
-	path := shard.MergedJournalPath(st.dir)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		if errors.Is(err, fault.ErrJournalCorrupt) {
-			return os.Remove(path)
-		}
-		return err
-	}
-	prev, err := j.Begin(st.meta)
-	closeErr := j.Close()
-	if err != nil {
-		if errors.Is(err, fault.ErrCampaignMismatch) {
-			return err
-		}
-		return os.Remove(path)
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	for t, tr := range prev {
-		if t >= 0 && t < st.n && tr.Status != fault.TrialPending {
-			st.res.Trials[t] = tr
-			st.hadPrior = true
-		}
-	}
-	return nil
-}
-
-// openShardJournalLocked opens shard sh's journal, restoring its trials
-// and classifying damage: corrupt → delete, recreate, and report the
-// shard as recovered (it re-runs from scratch); a valid journal of a
-// different campaign → mismatch error; held lock → locked error.
-func (s *Server) openShardJournalLocked(st *state, sh int) error {
-	path := filepath.Join(st.dir, shard.JournalName(sh))
-	lo, hi := shard.Range(st.n, st.k, sh)
-	meta := st.meta
-	meta.Shards, meta.Shard, meta.ShardStart, meta.ShardEnd = st.k, sh, lo, hi
-	for recreated := false; ; recreated = true {
-		j, err := fault.OpenJournal(path)
-		if err != nil {
-			if errors.Is(err, fault.ErrJournalCorrupt) && !recreated {
-				if err := os.Remove(path); err != nil {
-					return err
-				}
-				st.recovered = append(st.recovered, sh)
-				continue
-			}
-			return err
-		}
-		prev, err := j.Begin(meta)
-		if err != nil {
-			j.Close()
-			if errors.Is(err, fault.ErrCampaignMismatch) {
-				if sameCampaignDifferentSharding(path, st.meta) {
-					return fmt.Errorf(
-						"journal %s was written with a different shard partition; resubmit with the original shard count or use a fresh campaign name (%w)",
-						path, err)
-				}
-				return err
-			}
-			if !recreated {
-				if err := os.Remove(path); err != nil {
-					return err
-				}
-				st.recovered = append(st.recovered, sh)
-				continue
-			}
-			return err
-		}
-		j.SetFsyncEvery(s.opts.FsyncEvery)
-		st.journals[sh] = j
-		for t, tr := range prev {
-			if t >= lo && t < hi && tr.Status != fault.TrialPending {
-				st.res.Trials[t] = tr
-				st.hadPrior = true
-			}
-		}
-		return nil
-	}
-}
-
-// sameCampaignDifferentSharding reports whether the journal at path
-// belongs to this campaign but was partitioned differently.
-func sameCampaignDifferentSharding(path string, meta fault.JournalMeta) bool {
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		return false
-	}
-	defer j.Close()
-	m := j.Meta()
-	if m == nil {
-		return false
-	}
-	return m.Seed == meta.Seed && m.Trials == meta.Trials &&
-		m.GoldenDyn == meta.GoldenDyn && m.Population == meta.Population
 }
 
 // ---- lease dispatch ----

@@ -89,6 +89,28 @@ func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
 	if cc == nil {
 		return nil
 	}
+	cc.configure(c, stage)
+	return cc.openJournal(c, stage)
+}
+
+// openJournal binds the stage's checkpoint journal to the campaign.
+func (cc *CampaignControls) openJournal(c *fault.Campaign, stage string) error {
+	if cc.Checkpoint == nil {
+		return nil
+	}
+	j, err := cc.Checkpoint.Journal(stage)
+	if err != nil {
+		return err
+	}
+	c.Journal = j
+	return nil
+}
+
+// configure copies the per-trial knobs — retry policy, error model,
+// watchdog, workers and progress reporting — onto the campaign. Every
+// engine reads them from there (the sharded engine takes its scheduler
+// width from shard.Options and falls back to the campaign's Progress).
+func (cc *CampaignControls) configure(c *fault.Campaign, stage string) {
 	c.MaxRetries = cc.MaxRetries
 	c.RetryBackoff = cc.RetryBackoff
 	c.Workers = cc.Workers
@@ -102,51 +124,36 @@ func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
 		report := cc.Progress
 		c.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
 	}
-	if cc.Checkpoint != nil {
-		j, err := cc.Checkpoint.Journal(stage)
-		if err != nil {
-			return err
-		}
-		c.Journal = j
-	}
-	return nil
 }
 
 // Run executes the golden run plus n injection trials of campaign c
-// under the controls: on the single-loop engine by default, or on the
-// sharded engine when Shards > 1 — per-trial semantics, results, and
-// canonical journal bytes are identical either way. Each sharded stage
-// checkpoints into its own "<stage>.shards" directory (one journal per
-// shard plus the canonical merged journal) instead of a single
-// "<stage>.jsonl" file.
+// under the controls: remotely when RemoteSpec renders the stage,
+// sectioned when Sections is set (single-rank campaigns), on the sharded
+// engine when Shards > 1, and on the single-loop engine otherwise. The
+// plain and sharded engines agree on per-trial semantics, results, and
+// canonical journal bytes. Each sharded stage checkpoints into its own
+// "<stage>.shards" directory (one journal per shard plus the canonical
+// merged journal) instead of a single "<stage>.jsonl" file.
 func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, stage string) (*fault.CampaignResult, error) {
-	if cc != nil && cc.Remote != nil && cc.RemoteSpec != nil {
+	if cc == nil {
+		return c.RunContext(ctx, n)
+	}
+	if cc.Remote != nil && cc.RemoteSpec != nil {
 		if spec := cc.RemoteSpec(stage); spec != nil {
 			return cc.runRemote(ctx, c, spec, n, stage)
 		}
 	}
-	if cc != nil && cc.Sections && c.Config.Ranks <= 1 {
+	cc.configure(c, stage)
+	switch {
+	case cc.Sections && c.Config.Ranks <= 1:
 		return cc.runSectioned(ctx, c, stage)
-	}
-	if cc == nil || cc.Shards <= 1 {
-		if err := cc.Apply(c, stage); err != nil {
+	case cc.Shards <= 1:
+		if err := cc.openJournal(c, stage); err != nil {
 			return nil, err
 		}
 		return c.RunContext(ctx, n)
 	}
-	c.MaxRetries = cc.MaxRetries
-	c.RetryBackoff = cc.RetryBackoff
-	if cc.Model != nil {
-		c.Model = cc.Model
-	}
-	if cc.Watchdog > 0 {
-		c.Config.Watchdog = cc.Watchdog
-	}
 	opts := shard.Options{Shards: cc.Shards, Workers: cc.Workers, Retries: cc.ShardRetries}
-	if cc.Progress != nil {
-		report := cc.Progress
-		opts.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
-	}
 	if cc.Checkpoint != nil {
 		dir, err := cc.Checkpoint.ShardDir(stage)
 		if err != nil {
@@ -162,21 +169,9 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 // drives the budget), and checkpointing goes to a per-stage section
 // journal directory whose fingerprint-keyed journals make resumption
 // incremental across program edits: only sections whose IR changed
-// re-execute.
+// re-execute. Like the other engines it returns the result beside
+// per-trial failures, so a degraded stage is reported, not discarded.
 func (cc *CampaignControls) runSectioned(ctx context.Context, c *fault.Campaign, stage string) (*fault.CampaignResult, error) {
-	c.MaxRetries = cc.MaxRetries
-	c.RetryBackoff = cc.RetryBackoff
-	c.Workers = cc.Workers
-	if cc.Model != nil {
-		c.Model = cc.Model
-	}
-	if cc.Watchdog > 0 {
-		c.Config.Watchdog = cc.Watchdog
-	}
-	if cc.Progress != nil {
-		report := cc.Progress
-		c.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
-	}
 	c.Sections = true
 	c.Coverage = max(cc.SectionCoverage, 1)
 	c.MaxPerSection = cc.MaxPerSection
@@ -193,10 +188,10 @@ func (cc *CampaignControls) runSectioned(ctx context.Context, c *fault.Campaign,
 		return nil, err
 	}
 	res, err := prep.RunSections(ctx, dir)
-	if err != nil {
+	if res == nil {
 		return nil, err
 	}
-	return res.CampaignResult, nil
+	return res.CampaignResult, err
 }
 
 // runRemote dispatches one campaign to the coordinator and polls it to

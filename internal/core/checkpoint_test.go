@@ -10,64 +10,79 @@ import (
 
 // A collection campaign cancelled mid-run and re-run against the same
 // checkpoint directory must yield the same training set as an
-// uninterrupted collection.
+// uninterrupted collection, on the plain and the sectioned engine.
 func TestCollectContextCheckpointResume(t *testing.T) {
 	app := loadApp(t, "FFT")
 	const samples = 60
 
-	ref, err := Collect(app, samples, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	cp1, err := NewCheckpoint(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cc1 := &CampaignControls{
-		Workers:    2,
-		Checkpoint: cp1,
-		Progress: func(stage string, done, total, failed, deadlocked int) {
-			if done >= 10 {
-				cancel()
+	for _, tc := range []struct {
+		name string
+		base CampaignControls
+	}{
+		{"plain", CampaignControls{}},
+		{"sectioned", CampaignControls{Sections: true, SectionCoverage: 1, MaxPerSection: 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refControls := tc.base
+			ref, err := CollectContext(context.Background(), app, samples, 9, &refControls)
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	}
-	if _, err := CollectContext(ctx, app, samples, 9, cc1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted collection returned %v, want context.Canceled", err)
-	}
-	if err := cp1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	cp2, err := NewCheckpoint(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	got, err := CollectContext(context.Background(), app, samples, 9, &CampaignControls{Checkpoint: cp2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Degraded != nil {
-		t.Fatalf("resumed collection degraded: %v", got.Degraded)
-	}
-	if len(got.X) != len(ref.X) {
-		t.Fatalf("resumed collection has %d samples, want %d", len(got.X), len(ref.X))
-	}
-	for i := range ref.SOC {
-		if got.SOC[i] != ref.SOC[i] || got.Symptom[i] != ref.Symptom[i] {
-			t.Fatalf("labels differ at sample %d after resume", i)
-		}
-	}
-	for i := range ref.Campaign.Trials {
-		if got.Campaign.Trials[i] != ref.Campaign.Trials[i] {
-			t.Fatalf("trial %d differs after resume: %+v vs %+v",
-				i, got.Campaign.Trials[i], ref.Campaign.Trials[i])
-		}
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			cp1, err := NewCheckpoint(dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cc1 := tc.base
+			cc1.Workers = 2
+			cc1.Checkpoint = cp1
+			cc1.Progress = func(stage string, done, total, failed, deadlocked int) {
+				if done >= 10 {
+					cancel()
+				}
+			}
+			if _, err := CollectContext(ctx, app, samples, 9, &cc1); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted collection returned %v, want context.Canceled", err)
+			}
+			if err := cp1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cp2, err := NewCheckpoint(dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cp2.Close()
+			cc2 := tc.base
+			cc2.Checkpoint = cp2
+			got, err := CollectContext(context.Background(), app, samples, 9, &cc2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Degraded != nil {
+				t.Fatalf("resumed collection degraded: %v", got.Degraded)
+			}
+			if len(got.X) != len(ref.X) {
+				t.Fatalf("resumed collection has %d samples, want %d", len(got.X), len(ref.X))
+			}
+			for i := range ref.SOC {
+				if got.SOC[i] != ref.SOC[i] || got.Symptom[i] != ref.Symptom[i] {
+					t.Fatalf("labels differ at sample %d after resume", i)
+				}
+			}
+			if len(got.Campaign.Trials) != len(ref.Campaign.Trials) {
+				t.Fatalf("resumed collection has %d trials, want %d", len(got.Campaign.Trials), len(ref.Campaign.Trials))
+			}
+			for i := range ref.Campaign.Trials {
+				if got.Campaign.Trials[i] != ref.Campaign.Trials[i] {
+					t.Fatalf("trial %d differs after resume: %+v vs %+v",
+						i, got.Campaign.Trials[i], ref.Campaign.Trials[i])
+				}
+			}
+		})
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"ipas/internal/interp"
@@ -657,107 +655,16 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 	// Resume: restore trials already journaled by a previous run of
 	// the same campaign (the journal header pins seed, trial count and
 	// the golden run's fingerprint, so restored plans line up).
-	restored := 0
+	u := unit{hi: len(plans), j: c.Journal}
 	if c.Journal != nil {
 		prev, err := c.Journal.Begin(p.Meta(n))
 		if err != nil {
 			return nil, err
 		}
-		for t, tr := range prev {
-			if t >= 0 && t < n && tr.Status != TrialPending {
-				out.Trials[t] = tr
-				restored++
-			}
-		}
+		u.restore(out.Trials, prev)
 	}
-
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	var (
-		mu         sync.Mutex
-		done       = restored
-		failed     = 0
-		deadlocked = 0
-		journalErr error
-	)
-	for _, tr := range out.Trials {
-		if tr.Status == TrialFailed {
-			failed++
-		}
-		if tr.Deadlock != "" {
-			deadlocked++
-		}
-	}
-	finish := func(t int, tr Trial) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if tr.Status == TrialFailed {
-			failed++
-		}
-		if tr.Deadlock != "" {
-			deadlocked++
-		}
-		if c.Journal != nil {
-			if err := c.Journal.Record(t, tr); err != nil && journalErr == nil {
-				journalErr = err
-			}
-		}
-		if c.Progress != nil {
-			c.Progress(done, n, failed, deadlocked)
-		}
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				tr := p.RunTrial(ctx, t, plans[t])
-				if tr.Status == TrialPending {
-					continue // cancelled mid-trial; re-run on resume
-				}
-				out.Trials[t] = tr
-				finish(t, tr)
-			}
-		}()
-	}
-feed:
-	for t := 0; t < n; t++ {
-		if out.Trials[t].Status != TrialPending {
-			continue // restored from the journal
-		}
-		select {
-		case next <- t:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	var errs []error
-	if ferr := out.Finalize(); ferr != nil {
-		errs = append(errs, ferr)
-	}
-	if journalErr != nil {
-		errs = append(errs, fmt.Errorf("fault: journal write: %w", journalErr))
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if len(errs) > 0 {
-		return out, errors.Join(errs...)
-	}
-	return out, nil
+	_, err = p.runUnits(ctx, plans, out, []unit{u})
+	return out, err
 }
 
 // runTrial executes one trial with panic isolation and bounded

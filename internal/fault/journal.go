@@ -269,6 +269,72 @@ func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 	return nil, nil
 }
 
+// OpenOrRebuild opens the journal at path and binds it to meta,
+// applying the one recovery table shared by every journal an engine
+// opens for itself — shard journals and the merged journal, in-process
+// and on the coordinator, and per-section journals:
+//
+//	torn tail                        truncated on open (OpenJournal)
+//	corrupt journal                  deleted and rebuilt
+//	held by another campaign         refused (ErrJournalLocked)
+//	unknown error model              refused (ErrModelUnknown)
+//	foreign campaign                 refused (ErrCampaignMismatch)
+//	same campaign, other partition   refused, naming the shard partition
+//
+// rebuilt reports that a corrupt journal was replaced by a fresh one
+// (its unit re-runs from scratch). Per-section journals differ in one
+// row only: a stale header is rebuilt instead of refused, because the
+// fingerprint-named file is a cache of that section's trials, not
+// someone else's checkpoint.
+func OpenOrRebuild(path string, meta JournalMeta) (j *Journal, prev map[int]Trial, rebuilt bool, err error) {
+	return openOrRebuild(path, meta, false)
+}
+
+// openOrRebuild is OpenOrRebuild with the per-section policy selectable:
+// rebuildStale rebuilds a journal whose valid header pins a different
+// campaign (unknown-model headers are still refused: rebuilding would
+// silently re-run a newer build's trials under the default model).
+func openOrRebuild(path string, meta JournalMeta, rebuildStale bool) (*Journal, map[int]Trial, bool, error) {
+	for rebuilt := false; ; rebuilt = true {
+		j, err := OpenJournal(path)
+		if err == nil {
+			var prev map[int]Trial
+			if prev, err = j.Begin(meta); err == nil {
+				return j, prev, rebuilt, nil
+			}
+			disk := j.Meta()
+			j.Close()
+			if errors.Is(err, ErrModelUnknown) {
+				return nil, nil, rebuilt, err
+			}
+			if errors.Is(err, ErrCampaignMismatch) && !rebuildStale {
+				if disk != nil && sameCampaignOtherPartition(*disk, meta) {
+					err = fmt.Errorf(
+						"fault: journal %s was written with a different shard partition; resume with the original shard count or use a fresh journal directory (%w)",
+						path, err)
+				}
+				return nil, nil, rebuilt, err
+			}
+		} else if !errors.Is(err, ErrJournalCorrupt) {
+			return nil, nil, rebuilt, err
+		}
+		if rebuilt {
+			return nil, nil, rebuilt, err
+		}
+		if err := os.Remove(path); err != nil {
+			return nil, nil, rebuilt, fmt.Errorf("fault: rebuilding journal: %w", err)
+		}
+	}
+}
+
+// sameCampaignOtherPartition reports whether two headers pin the same
+// campaign and differ only in their shard header.
+func sameCampaignOtherPartition(a, b JournalMeta) bool {
+	a.Shards, a.Shard, a.ShardStart, a.ShardEnd = 0, 0, 0, 0
+	b.Shards, b.Shard, b.ShardStart, b.ShardEnd = 0, 0, 0, 0
+	return a == b
+}
+
 // SetFsyncEvery selects the journal's durability policy: how many
 // appended records may accumulate before the journal forces them to
 // stable storage with fsync.

@@ -4,14 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
 
 	"ipas/internal/interp"
 	"ipas/internal/ir"
@@ -24,20 +20,21 @@ import (
 // fingerprint, and per-section journals make re-analysis after a code
 // edit incremental — only sections whose fingerprints changed re-run.
 //
-// Two execution paths share the substrate:
+// The substrate serves two kinds of run:
 //
-//   - The generic engines (Campaign.RunContext, internal/fault/shard,
-//     internal/campaign) see a sectioned campaign as an ordinary one
-//     whose Plans carry section targets: Prepare captures the golden
-//     boundary trace, Plans returns the concatenated per-section
-//     lists, and Meta pins the partition fingerprint in a
+//   - Any engine (Campaign.RunContext, internal/fault/shard,
+//     internal/campaign) can run a sectioned campaign as an ordinary
+//     one whose Plans carry section targets: Prepare captures the
+//     golden boundary trace, Plans returns the concatenated
+//     per-section lists, and Meta pins the partition fingerprint in a
 //     distinct journal format.
 //
-//   - RunSections adds incrementality on top: one journal per section,
-//     named by fingerprint, holding section-local site ordinals so a
-//     journal stays valid even when edits elsewhere shift global
+//   - RunSections adds incrementality: each non-empty section is one
+//     unit of the local trial runner (unit.go) with its own journal,
+//     named by fingerprint and holding section-local site ordinals, so
+//     a journal stays valid even when edits elsewhere shift global
 //     SiteIDs. A journal whose header still matches is reused
-//     wholesale; a stale one (the section's code changed) is discarded
+//     wholesale; a stale one (the section's code changed) is rebuilt
 //     and its trials re-run.
 
 // SectionAlloc is one section's slice of a sectioned trial space.
@@ -185,41 +182,6 @@ func (sp *SectionPlan) plans(n int) []interp.FaultPlan {
 	return out
 }
 
-// allocOf maps a concatenated trial index onto its section allocation.
-func (sp *SectionPlan) allocOf(t int) *SectionAlloc {
-	i := sort.Search(len(sp.Alloc), func(i int) bool { return sp.Alloc[i].Start+sp.Alloc[i].Trials > t })
-	if i == len(sp.Alloc) {
-		return nil
-	}
-	return &sp.Alloc[i]
-}
-
-// localizeSite rewrites a trial's global SiteID into the section-local
-// ordinal stored in per-section journals: global IDs shift when other
-// sections change, local ordinals are pinned by the section's own
-// fingerprint.
-func (sp *SectionPlan) localizeSite(sec int, tr Trial) Trial {
-	sites := sp.Partition.Sites(sec)
-	i := sort.SearchInts(sites, tr.Site)
-	if i < len(sites) && sites[i] == tr.Site {
-		tr.Site = i
-	} else {
-		tr.Site = -1
-	}
-	return tr
-}
-
-// globalizeSite is the inverse mapping applied on journal restore.
-func (sp *SectionPlan) globalizeSite(sec int, tr Trial) Trial {
-	sites := sp.Partition.Sites(sec)
-	if tr.Site >= 0 && tr.Site < len(sites) {
-		tr.Site = sites[tr.Site]
-	} else {
-		tr.Site = -1
-	}
-	return tr
-}
-
 // sectionMeta pins one section's journal. GoldenDyn is deliberately 0:
 // the whole-program dynamic count changes when *other* sections change,
 // and must not invalidate this section's trials — the section
@@ -290,171 +252,43 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 	}
 	plans := sp.plans(sp.Total)
 	out := &SectionResult{CampaignResult: p.NewResult(plans), Plan: sp}
-
-	journals := make([]*Journal, len(sp.Alloc))
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("fault: creating section journal dir: %w", err)
 		}
-		defer func() {
-			for _, j := range journals {
-				if j != nil {
-					j.Close()
-				}
-			}
-		}()
-		for i := range sp.Alloc {
-			a := &sp.Alloc[i]
-			if a.Trials == 0 {
-				continue
-			}
-			j, restored, err := openSectionJournal(dir, sp, a)
-			if err != nil {
-				return nil, err
-			}
-			journals[i] = j
-			n := 0
-			for t, tr := range restored {
-				if t < 0 || t >= a.Trials || tr.Status == TrialPending {
-					continue
-				}
-				out.Trials[a.Start+t] = sp.globalizeSite(a.Section, tr)
-				n++
-			}
-			out.Restored += n
-		}
 	}
 
-	// Execute what the journals did not cover.
-	var pendingIdx []int
-	for t := range out.Trials {
-		if out.Trials[t].Status == TrialPending {
-			pendingIdx = append(pendingIdx, t)
-		}
-	}
-	workers := p.c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pendingIdx) {
-		workers = len(pendingIdx)
-	}
-	var (
-		mu         sync.Mutex
-		journalErr error
-	)
-	record := func(t int, tr Trial) {
-		mu.Lock()
-		defer mu.Unlock()
-		out.Executed++
-		a := sp.allocOf(t)
-		if j := journals[a.Section]; j != nil {
-			if err := j.Record(t-a.Start, sp.localizeSite(a.Section, tr)); err != nil && journalErr == nil {
-				journalErr = err
+	var units []unit
+	defer func() {
+		for _, u := range units {
+			if u.j != nil {
+				u.j.Close()
 			}
 		}
-		if p.c.Progress != nil {
-			p.c.Progress(out.Restored+out.Executed, sp.Total, 0, 0)
-		}
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				tr := p.RunTrial(ctx, t, plans[t])
-				if tr.Status == TrialPending {
-					continue // cancelled mid-trial
-				}
-				out.Trials[t] = tr
-				record(t, tr)
-			}
-		}()
-	}
-feed:
-	for _, t := range pendingIdx {
-		select {
-		case next <- t:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-
+	}()
 	for i := range sp.Alloc {
 		a := &sp.Alloc[i]
-		st := SectionStat{
-			Section: a.Section, FP: a.FP, Label: a.Label,
-			Pop: a.Pop, Trials: a.Trials,
-		}
-		for t := a.Start; t < a.Start+a.Trials; t++ {
-			if out.Trials[t].Status != TrialPending {
-				st.Restored++ // provisional: executed subtracted below
+		st := SectionStat{Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials}
+		if a.Trials > 0 {
+			u := unit{lo: a.Start, hi: a.Start + a.Trials, sites: sp.Partition.Sites(a.Section)}
+			if dir != "" {
+				// A stale header is rebuilt, never refused: the
+				// fingerprint-named journal caches this section's
+				// trials and nothing else.
+				j, prev, _, err := openOrRebuild(filepath.Join(dir, sectionJournalName(a.FP)), sp.sectionMeta(a), true)
+				if err != nil {
+					return nil, err
+				}
+				u.j = j
+				st.Restored = u.restore(out.Trials, prev)
 			}
+			units = append(units, u)
 		}
+		out.Restored += st.Restored
 		out.Stats = append(out.Stats, st)
 	}
-	// Restored per section = finished minus executed this invocation;
-	// recompute exactly from the global counters when nothing pended.
-	executedBySec := make([]int, len(sp.Alloc))
-	for _, t := range pendingIdx {
-		if out.Trials[t].Status != TrialPending {
-			executedBySec[sp.allocOf(t).Section]++
-		}
-	}
-	for i := range out.Stats {
-		out.Stats[i].Restored -= executedBySec[i]
-	}
 
-	var errs []error
-	if ferr := out.Finalize(); ferr != nil {
-		errs = append(errs, ferr)
-	}
-	if journalErr != nil {
-		errs = append(errs, fmt.Errorf("fault: section journal write: %w", journalErr))
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if len(errs) > 0 {
-		return out, errors.Join(errs...)
-	}
-	return out, nil
-}
-
-// openSectionJournal opens (or rebuilds) one section's journal and
-// binds it to the allocation. A corrupt or mismatched journal under our
-// own checkpoint directory is a stale artifact of an earlier binary or
-// allocation — deleted and recreated, never fatal. A locked journal is
-// a genuinely concurrent campaign and stays fatal.
-func openSectionJournal(dir string, sp *SectionPlan, a *SectionAlloc) (*Journal, map[int]Trial, error) {
-	path := filepath.Join(dir, sectionJournalName(a.FP))
-	for attempt := 0; ; attempt++ {
-		j, err := OpenJournal(path)
-		if err != nil {
-			if errors.Is(err, ErrJournalLocked) || attempt > 0 {
-				return nil, nil, err
-			}
-			os.Remove(path)
-			continue
-		}
-		restored, err := j.Begin(sp.sectionMeta(a))
-		if err != nil {
-			j.Close()
-			// A header naming an unknown error model is a newer build's
-			// checkpoint, not a stale artifact: rebuilding it would
-			// silently re-run its trials under our default model.
-			if attempt > 0 || errors.Is(err, ErrModelUnknown) {
-				return nil, nil, err
-			}
-			// Stale header (e.g. a different Coverage or an older
-			// allocation of the same section content): rebuild.
-			os.Remove(path)
-			continue
-		}
-		return j, restored, nil
-	}
+	executed, err := p.runUnits(ctx, plans, out.CampaignResult, units)
+	out.Executed = executed
+	return out, err
 }

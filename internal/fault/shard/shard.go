@@ -148,8 +148,7 @@ func Run(ctx context.Context, c *fault.Campaign, n int, opts Options) (*fault.Ca
 		e.opts.Progress = c.Progress
 	}
 	if opts.Dir != "" {
-		if err := e.openJournals(); err != nil {
-			e.closeJournals()
+		if e.journals, _, err = OpenDir(opts.Dir, e.meta, k, e.out.Trials); err != nil {
 			return nil, err
 		}
 		defer e.closeJournals()
@@ -364,131 +363,66 @@ func (e *engine) failShard(sh, attempts int, cause error) {
 	}
 }
 
-// openJournals binds the journal directory: restore the merged journal
-// if a completed campaign left one, then open (or recover, or recreate)
-// every shard journal and restore its trials.
-func (e *engine) openJournals() error {
-	if err := os.MkdirAll(e.opts.Dir, 0o755); err != nil {
-		return fmt.Errorf("shard: creating journal dir: %w", err)
+// OpenDir binds journal directory dir (created if missing) to a
+// k-shard campaign whose merged-journal header is meta, settling every
+// durable record into trials (one slot per campaign trial). A completed
+// run's merged journal is restored first; then each shard journal is
+// opened under fault.OpenOrRebuild's recovery table with its shard
+// header layered onto meta. recovered lists the shards whose corrupt
+// journal was rebuilt, so they re-run from scratch. On error no journal
+// is left open. The in-process engine (Run) and the campaign
+// coordinator both open their directories through it, which is what
+// lets either resume the other's checkpoints.
+func OpenDir(dir string, meta fault.JournalMeta, k int, trials []fault.Trial) (journals []*fault.Journal, recovered []int, err error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("shard: creating journal dir: %w", err)
 	}
-	if err := e.restoreMerged(); err != nil {
-		return err
-	}
-	for s := 0; s < e.k; s++ {
-		j, prev, err := e.openShardJournal(s)
-		if err != nil {
-			return err
-		}
-		e.journals[s] = j
-		lo, hi := Range(e.n, e.k, s)
+	n := len(trials)
+	settle := func(prev map[int]fault.Trial, lo, hi int) {
 		for t, tr := range prev {
 			if t >= lo && t < hi && tr.Status != fault.TrialPending {
-				e.out.Trials[t] = tr
+				trials[t] = tr
 			}
 		}
 	}
-	return nil
-}
-
-// restoreMerged loads a previous run's completed merged journal, if
-// any. A corrupt merged journal is deleted and rebuilt from the shard
-// journals; one belonging to a different campaign is a hard error — a
-// journal directory is never silently clobbered.
-func (e *engine) restoreMerged() error {
-	path := MergedJournalPath(e.opts.Dir)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		if errors.Is(err, fault.ErrJournalCorrupt) {
-			return os.Remove(path)
-		}
-		return err
-	}
-	prev, err := j.Begin(e.meta)
-	closeErr := j.Close()
-	if err != nil {
-		if errors.Is(err, fault.ErrCampaignMismatch) {
-			return err
-		}
-		return os.Remove(path)
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	for t, tr := range prev {
-		if t >= 0 && t < e.n && tr.Status != fault.TrialPending {
-			e.out.Trials[t] = tr
-		}
-	}
-	return nil
-}
-
-// openShardJournal opens shard s's journal, validating its shard
-// header. A corrupt journal, or one whose header does not match —
-// except a valid journal of a *different campaign*, which is a hard
-// error — is deleted and recreated fresh, which simply re-runs the
-// shard: exactly the recovery the trial-space partition makes cheap.
-func (e *engine) openShardJournal(s int) (*fault.Journal, map[int]fault.Trial, error) {
-	path := filepath.Join(e.opts.Dir, JournalName(s))
-	lo, hi := Range(e.n, e.k, s)
-	meta := e.meta
-	meta.Shards, meta.Shard, meta.ShardStart, meta.ShardEnd = e.k, s, lo, hi
-	for recreated := false; ; recreated = true {
-		j, err := fault.OpenJournal(path)
+	// A completed run's merged journal settles everything at once. A
+	// corrupt one is deleted (completion rewrites it from the shard
+	// journals); a foreign one is refused.
+	merged := MergedJournalPath(dir)
+	if _, err := os.Stat(merged); err == nil {
+		j, prev, rebuilt, err := fault.OpenOrRebuild(merged, meta)
 		if err != nil {
-			if errors.Is(err, fault.ErrJournalCorrupt) && !recreated {
-				if err := os.Remove(path); err != nil {
-					return nil, nil, err
-				}
-				continue
+			return nil, nil, err
+		}
+		if err := j.Close(); err != nil {
+			return nil, nil, err
+		}
+		if rebuilt {
+			if err := os.Remove(merged); err != nil {
+				return nil, nil, err
+			}
+		}
+		settle(prev, 0, n)
+	}
+	journals = make([]*fault.Journal, k)
+	for s := 0; s < k; s++ {
+		lo, hi := Range(n, k, s)
+		m := meta
+		m.Shards, m.Shard, m.ShardStart, m.ShardEnd = k, s, lo, hi
+		j, prev, rebuilt, err := fault.OpenOrRebuild(filepath.Join(dir, JournalName(s)), m)
+		if err != nil {
+			for _, j := range journals[:s] {
+				j.Close()
 			}
 			return nil, nil, err
 		}
-		prev, err := j.Begin(meta)
-		if err != nil {
-			j.Close()
-			if errors.Is(err, fault.ErrCampaignMismatch) {
-				sameCampaign := e.sameCampaignDifferentSharding(path)
-				if !sameCampaign {
-					return nil, nil, err
-				}
-				// Same campaign, different shard partition (the
-				// -shards flag changed between runs): the records are
-				// valid but the ownership ranges are not — refuse
-				// with a precise message instead of mixing them.
-				return nil, nil, fmt.Errorf(
-					"shard: journal %s was written with a different shard partition; resume with the original -shards value or use a fresh directory (%w)",
-					path, err)
-			}
-			if !recreated {
-				if err := os.Remove(path); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			return nil, nil, err
+		journals[s] = j
+		if rebuilt {
+			recovered = append(recovered, s)
 		}
-		return j, prev, nil
+		settle(prev, lo, hi)
 	}
-}
-
-// sameCampaignDifferentSharding reports whether the journal at path
-// belongs to this campaign (same seed/trials/golden fingerprint) but
-// was partitioned differently.
-func (e *engine) sameCampaignDifferentSharding(path string) bool {
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		return false
-	}
-	defer j.Close()
-	m := j.Meta()
-	if m == nil {
-		return false
-	}
-	return m.Seed == e.meta.Seed && m.Trials == e.meta.Trials &&
-		m.GoldenDyn == e.meta.GoldenDyn && m.Population == e.meta.Population
+	return journals, recovered, nil
 }
 
 // closeJournals closes every open shard journal; the files stay on
