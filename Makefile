@@ -51,8 +51,9 @@ ci: lint build race bench-check chaos-smoke server-chaos-smoke compose-smoke err
 # the execution engine), recorded machine-readably in BENCH_interp.json.
 # BenchmarkDeadlockDetection records structural deadlock-detection
 # latency — the metric that replaced the former 10 s wall-clock wait.
-# BenchmarkShardedCampaign tracks the sharded engine's overhead floor
-# (1 shard) and its scaling configuration (one shard per core).
+# BenchmarkShardedCampaign tracks the sharded engine at 1 shard and at
+# one shard per core; both run GOMAXPROCS trial workers, so the pair
+# shows what the partition itself costs.
 # BenchmarkCampaignSetup records Prepare cold vs warm: the warm number
 # is the golden-run cache's enforced win (breaking the cache turns a
 # sub-millisecond hit into a full golden run, which benchdiff rejects).
@@ -113,8 +114,8 @@ bench-compose:
 	$(GO) run ./cmd/composebench -o BENCH_compose.json
 
 # Chaos tests for the sharded campaign engine under the race detector:
-# mid-campaign kills, torn/corrupt/deleted shard journals, and injected
-# shard panics must all converge back to the bit-identical result (see
+# mid-campaign kills and torn/corrupt/deleted shard journals must all
+# converge back to the bit-identical result (see
 # internal/fault/shard/chaos_test.go).
 chaos-smoke:
 	$(GO) test -race -shuffle=on -run 'Chaos' -timeout=10m ./internal/fault/...

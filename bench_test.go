@@ -265,11 +265,11 @@ func BenchmarkCampaignSetup(b *testing.B) {
 }
 
 // BenchmarkShardedCampaign measures the sharded campaign engine
-// (internal/fault/shard) against the single-loop baseline above:
-// "1shard" is the engine's overhead floor (scheduler + partition, no
-// parallelism win), "sharded" runs one shard per scheduler worker at
-// GOMAXPROCS. Journaling is off in both, so the numbers isolate
-// scheduling cost from I/O.
+// (internal/fault/shard) against the single-loop baseline above. Both
+// configurations run trials on GOMAXPROCS workers of the shared trial
+// runner: "1shard" is one unit over every trial, "sharded" splits the
+// trials into one unit per core. Journaling is off in both, so the
+// numbers isolate the partition's cost from I/O.
 func BenchmarkShardedCampaign(b *testing.B) {
 	const trials = 30
 	for _, name := range []string{"FFT", "IS"} {

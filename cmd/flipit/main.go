@@ -9,12 +9,12 @@
 // hit infrastructure errors are retried up to -max-retries times and
 // then reported without aborting the campaign.
 //
-// With -shards K (K > 1) the campaign runs on the sharded engine: the
-// trial space splits into K failure-isolated shards on a work-stealing
-// scheduler, -journal names a directory holding one journal per shard
-// plus the canonical merged.jsonl, and a shard that panics or expires
-// its watchdog is quarantined and retried (-shard-retries) without
-// touching its siblings. Results are bit-identical to -shards 1.
+// With -shards K (K > 1) the trial space splits into K contiguous
+// shards and -journal names a directory holding one journal per shard
+// plus the canonical merged.jsonl — the layout a campaignd coordinator
+// uses, so either can resume the other's checkpoint. Trials still run
+// on -workers goroutines with per-trial retries, and results are
+// bit-identical to -shards 1.
 //
 // With -remote URL the campaign is submitted to a campaignd
 // coordinator instead of running in-process: the coordinator shards the
@@ -34,7 +34,7 @@
 //
 //	flipit [-workload NAME] [-input N] [-n TRIALS] [-seed S] [-funcs]
 //	       [-journal FILE|DIR [-resume]] [-deadline D] [-max-retries N]
-//	       [-workers N] [-shards K] [-shard-retries N] [-watchdog D]
+//	       [-workers N] [-shards K] [-watchdog D]
 //	       [-remote URL] [-progress]
 //	       [-sections [-coverage N] [-max-per-section N]]
 package main
@@ -73,8 +73,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the campaign (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
 	workers := flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "failure-isolated campaign shards; >1 selects the sharded engine and makes -journal a directory")
-	shardRetries := flag.Int("shard-retries", 2, "quarantine retries before a sick shard's remaining trials are failed (0 = none)")
+	shards := flag.Int("shards", 1, "journal shards; >1 makes -journal a directory of per-shard journals plus merged.jsonl (the campaignd layout); results are bit-identical")
 	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog (0 = interpreter default)")
 	remote := flag.String("remote", "", "campaignd coordinator URL; submit the campaign there instead of running locally")
 	progress := flag.Bool("progress", false, "report trial progress on stderr")
@@ -237,12 +236,7 @@ func main() {
 			res = secRes.CampaignResult
 		}
 	case *shards > 1:
-		res, err = shard.Run(ctx, c, *n, shard.Options{
-			Shards:  *shards,
-			Workers: *workers,
-			Retries: fault.ExplicitRetries(*shardRetries),
-			Dir:     *journalPath,
-		})
+		res, err = shard.Run(ctx, c, *n, shard.Options{Shards: *shards, Dir: *journalPath})
 	default:
 		res, err = c.RunContext(ctx, *n)
 	}

@@ -9,9 +9,10 @@
 // -journal DIR -resume continues from the checkpoint and produces a
 // result identical to an uninterrupted run with the same parameters.
 //
-// With -shards K (K > 1) every campaign runs on the sharded engine
-// (failure-isolated shards on a work-stealing scheduler, one journal
-// per shard under DIR/<stage>.shards/); results stay bit-identical.
+// With -shards K (K > 1) every campaign's trial space splits into K
+// contiguous shards, checkpointed as one journal per shard under
+// DIR/<stage>.shards/ (the campaignd layout); trials still run on
+// -workers goroutines and results stay bit-identical.
 //
 // With -remote URL the collection campaign — the workflow's dominant
 // fault-injection cost, and the one stage expressible as a
@@ -26,7 +27,7 @@
 //	ipas [-workload NAME] [-input N] [-quick|-paper] [-samples N]
 //	     [-trials N] [-topn N] [-seed S]
 //	     [-journal DIR [-resume]] [-deadline D] [-max-retries N]
-//	     [-shards K] [-shard-retries N] [-watchdog D] [-remote URL]
+//	     [-shards K] [-watchdog D] [-remote URL]
 //	     [-progress]
 package main
 
@@ -64,8 +65,7 @@ func main() {
 	resume := flag.Bool("resume", false, "continue an interrupted workflow from the -journal directory")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the workflow (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "failure-isolated shards per campaign; >1 selects the sharded engine (results are bit-identical)")
-	shardRetries := flag.Int("shard-retries", 2, "quarantine retries before a sick shard's remaining trials are failed (0 = none)")
+	shards := flag.Int("shards", 1, "journal shards per campaign; >1 checkpoints each campaign as per-shard journals (the campaignd layout); results are bit-identical")
 	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
 	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch the collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
@@ -113,7 +113,6 @@ func main() {
 		MaxRetries:      fault.ExplicitRetries(*maxRetries),
 		TrainWorkers:    *trainWorkers,
 		Shards:          *shards,
-		ShardRetries:    fault.ExplicitRetries(*shardRetries),
 		Watchdog:        *watchdog,
 		Sections:        *sections,
 		SectionCoverage: *sectionCoverage,

@@ -67,7 +67,8 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sres, err := shard.Run(ctx, sc, spec.Trials, shard.Options{Shards: 2, Workers: 2, Dir: dir})
+			sc.Workers = 2
+			sres, err := shard.Run(ctx, sc, spec.Trials, shard.Options{Shards: 2, Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -462,6 +462,10 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 	st, sh := l.st, l.shard
 	lo, hi := shard.Range(st.n, st.k, sh)
+	// A trial named twice would be journaled twice (a restore keeps the
+	// last record) but settled once in memory (phase 3 keeps the first):
+	// the two could disagree after a coordinator restart.
+	seen := make(map[int]bool, len(seg.Records))
 	for _, rec := range seg.Records {
 		if rec.T < lo || rec.T >= hi {
 			s.mu.Unlock()
@@ -473,6 +477,12 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "record for trial %d is pending; segments carry settled trials only", rec.T)
 			return
 		}
+		if seen[rec.T] {
+			s.mu.Unlock()
+			httpError(w, http.StatusBadRequest, "segment names trial %d twice", rec.T)
+			return
+		}
+		seen[rec.T] = true
 	}
 	var fresh []Record
 	for _, rec := range seg.Records {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -524,6 +525,91 @@ func TestServerJournalFailureLeavesTrialPending(t *testing.T) {
 	}
 	if p.Shards[grant.Shard].Settled != 0 || p.Done != 0 {
 		t.Fatalf("unjournaled records settled in memory: %+v", p)
+	}
+}
+
+// A segment naming one trial twice is refused before anything is
+// journaled: the journal's restore keeps a trial's last record while
+// the in-memory settle keeps its first, so accepting both bodies would
+// let a coordinator restart flip the trial's verdict.
+func TestServerRejectsDuplicateRecordInSegment(t *testing.T) {
+	client := newTestServer(t, Options{})
+	sub, _, err := client.Submit(context.Background(), testSpec("dup", 4, 2, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := acquireRaw(t, client.Base)
+	seg := Segment{Records: []Record{
+		{T: grant.Lo, Trial: fault.Trial{Site: -1, Status: fault.TrialFailed, Err: "first", Attempts: 1}},
+		{T: grant.Lo, Trial: fault.Trial{Site: -1, Status: fault.TrialFailed, Err: "second", Attempts: 1}},
+	}}
+	if got := postStatus(t, client.Base, "/api/v1/leases/"+grant.Lease+"/records", seg); got != http.StatusBadRequest {
+		t.Fatalf("segment naming trial %d twice returned HTTP %d, want 400", grant.Lo, got)
+	}
+	p, err := client.Progress(context.Background(), sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Done != 0 {
+		t.Fatalf("a refused segment settled trials: %+v", p)
+	}
+	// The lease survives the refusal: a well-formed segment still lands.
+	seg.Records = seg.Records[:1]
+	if got := postStatus(t, client.Base, "/api/v1/leases/"+grant.Lease+"/records", seg); got != http.StatusOK {
+		t.Fatalf("well-formed segment after the refusal returned HTTP %d, want 200", got)
+	}
+}
+
+// A local sharded run and the coordinator share one directory layout:
+// a campaign interrupted on shard.Run under root/<id> — with holes
+// anywhere in a shard's range, since a shard's trials run concurrently
+// — is admitted as a resume by a coordinator rooted at root, finished
+// by workers, and merges bit-identically to the single-loop reference.
+func TestServerResumesLocalShardedRun(t *testing.T) {
+	spec := testSpec("", 30, 3, 47)
+	want, wantBytes := localReference(t, spec)
+	root := t.TempDir()
+
+	c, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Workers = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var done atomic.Int64
+	c.Progress = func(d, total, failed, deadlocked int) {
+		if done.Add(1) >= int64(spec.Trials/3) {
+			cancel()
+		}
+	}
+	local, err := shard.Run(ctx, c, spec.Trials, shard.Options{Shards: spec.Shards, Dir: filepath.Join(root, spec.ID())})
+	if err != context.Canceled {
+		t.Fatalf("interrupted local run returned %v, want context.Canceled", err)
+	}
+	if local.Pending == 0 {
+		t.Fatal("cancellation did not interrupt the local run")
+	}
+
+	client := newTestServer(t, Options{Dir: root})
+	sub, status, err := client.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || sub.Restored == 0 {
+		t.Fatalf("admission over the local checkpoint: HTTP %d, restored %d; want 200 with restored > 0", status, sub.Restored)
+	}
+	startWorker(t, client, nil)
+	startWorker(t, client, nil)
+
+	res := waitComplete(t, client, sub.ID)
+	assertSameTrials(t, res, want)
+	got, err := client.MergedJournal(context.Background(), sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBytes) {
+		t.Fatalf("merged journal differs from the local reference (%d vs %d bytes)", len(got), len(wantBytes))
 	}
 }
 

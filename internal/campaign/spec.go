@@ -9,9 +9,8 @@
 // merged journal is byte-identical to a local single-loop run.
 //
 // Shard lifecycle (queued → running → backoff → queued ... →
-// done/failed) is the shared shard.StateMachine the in-process
-// scheduler also drives; this package adds leases, heartbeats, and
-// durable acks on top. All requeue, backoff, and quarantine decisions
+// done/failed) is shard.StateMachine; this package adds leases,
+// heartbeats, and durable acks on top. All requeue, backoff, and quarantine decisions
 // are deterministic given the order of events — no report content ever
 // depends on the wall clock.
 package campaign

@@ -23,17 +23,15 @@ type CampaignControls struct {
 	// infrastructure errors (see fault.Campaign).
 	MaxRetries   int
 	RetryBackoff time.Duration
-	// Workers bounds concurrent trials per campaign (0 = GOMAXPROCS).
-	// Under sharding it bounds scheduler workers instead.
+	// Workers bounds concurrent trials per campaign (0 = GOMAXPROCS),
+	// whatever the shard count.
 	Workers int
 	// Shards, when > 1, runs each campaign on the sharded engine
 	// (internal/fault/shard): the trial space splits into this many
-	// failure-isolated shards on a work-stealing scheduler. Results
-	// are bit-identical to the single-loop engine for every value.
+	// contiguous shards, each checkpointed in its own journal — the
+	// layout a campaignd coordinator uses. Results are bit-identical
+	// to the single-loop engine for every value.
 	Shards int
-	// ShardRetries bounds shard-level quarantine retries (0 = default;
-	// fault.NoRetries = none). Only meaningful with Shards > 1.
-	ShardRetries int
 	// Model selects the error model every campaign's plans are drawn
 	// with (nil = single-bit, the paper's model). It rides journal
 	// headers and remote specs, so checkpoints and coordinators refuse
@@ -108,8 +106,7 @@ func (cc *CampaignControls) openJournal(c *fault.Campaign, stage string) error {
 
 // configure copies the per-trial knobs — retry policy, error model,
 // watchdog, workers and progress reporting — onto the campaign. Every
-// engine reads them from there (the sharded engine takes its scheduler
-// width from shard.Options and falls back to the campaign's Progress).
+// local engine reads them from there.
 func (cc *CampaignControls) configure(c *fault.Campaign, stage string) {
 	c.MaxRetries = cc.MaxRetries
 	c.RetryBackoff = cc.RetryBackoff
@@ -153,7 +150,7 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 		}
 		return c.RunContext(ctx, n)
 	}
-	opts := shard.Options{Shards: cc.Shards, Workers: cc.Workers, Retries: cc.ShardRetries}
+	opts := shard.Options{Shards: cc.Shards}
 	if cc.Checkpoint != nil {
 		dir, err := cc.Checkpoint.ShardDir(stage)
 		if err != nil {

@@ -344,8 +344,8 @@ type Campaign struct {
 	beforeTrial func(t, attempt int)
 }
 
-// Retry sentinels for Campaign.MaxRetries (and the analogous
-// shard-level knob in internal/fault/shard). The field follows the
+// Retry sentinels for Campaign.MaxRetries (and the coordinator's
+// lease-level campaign.Options.Retries). The field follows the
 // Workers/HangFactor convention — zero means "default" — which would
 // otherwise leave no way to ask for zero retries.
 const (
@@ -395,11 +395,12 @@ func (c *Campaign) Run(n int) (*CampaignResult, error) {
 var errCancelled = errors.New("fault: trial cancelled")
 
 // Prepared binds a campaign to its golden run: the immutable substrate
-// every trial executes against. The single-loop engine prepares and
-// runs in one call (RunContext); sharded engines (internal/fault/shard)
-// prepare once and execute disjoint trial-index ranges concurrently,
-// which is sound because Plans is a pure function of (Seed, trial
-// index) and RunTrial touches only shared-immutable state.
+// every trial executes against. RunContext prepares and runs in one
+// call; the sectioned and sharded engines (internal/fault/shard)
+// prepare once and hand journal-scoped trial ranges to RunUnits, and a
+// remote worker (internal/campaign) runs one leased range with
+// RunTrial. Any split is sound because Plans is a pure function of
+// (Seed, trial index) and RunTrial touches only shared-immutable state.
 type Prepared struct {
 	c *Campaign
 	// Golden is the fault-free reference result.
@@ -655,7 +656,7 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 	// Resume: restore trials already journaled by a previous run of
 	// the same campaign (the journal header pins seed, trial count and
 	// the golden run's fingerprint, so restored plans line up).
-	u := unit{hi: len(plans), j: c.Journal}
+	u := Unit{Hi: len(plans), Journal: c.Journal}
 	if c.Journal != nil {
 		prev, err := c.Journal.Begin(p.Meta(n))
 		if err != nil {
@@ -663,7 +664,7 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 		}
 		u.restore(out.Trials, prev)
 	}
-	_, err = p.runUnits(ctx, plans, out, []unit{u})
+	_, err = p.RunUnits(ctx, plans, out, []Unit{u})
 	return out, err
 }
 

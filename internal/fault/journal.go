@@ -101,6 +101,12 @@ type Journal struct {
 // another campaign (this process or another); OpenJournal wraps it.
 var ErrJournalLocked = errors.New("journal is locked by a concurrent campaign")
 
+// ErrJournalWrite marks a campaign error caused by a failed journal
+// append: the run's checkpoint is incomplete, unlike a per-trial
+// failure, which is journaled like any other verdict. RunUnits wraps
+// it, so a caller can tell the two apart with errors.Is.
+var ErrJournalWrite = errors.New("journal write")
+
 // ErrJournalCorrupt reports structural damage beyond a torn tail — an
 // unknown format, a duplicate header, a body without a header. The
 // sharded engine treats a corrupt *shard* journal as "re-run that

@@ -258,11 +258,11 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 		}
 	}
 
-	var units []unit
+	var units []Unit
 	defer func() {
 		for _, u := range units {
-			if u.j != nil {
-				u.j.Close()
+			if u.Journal != nil {
+				u.Journal.Close()
 			}
 		}
 	}()
@@ -270,7 +270,7 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 		a := &sp.Alloc[i]
 		st := SectionStat{Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials}
 		if a.Trials > 0 {
-			u := unit{lo: a.Start, hi: a.Start + a.Trials, sites: sp.Partition.Sites(a.Section)}
+			u := Unit{Lo: a.Start, Hi: a.Start + a.Trials, sites: sp.Partition.Sites(a.Section)}
 			if dir != "" {
 				// A stale header is rebuilt, never refused: the
 				// fingerprint-named journal caches this section's
@@ -279,7 +279,7 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 				if err != nil {
 					return nil, err
 				}
-				u.j = j
+				u.Journal = j
 				st.Restored = u.restore(out.Trials, prev)
 			}
 			units = append(units, u)
@@ -288,7 +288,7 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 		out.Stats = append(out.Stats, st)
 	}
 
-	executed, err := p.runUnits(ctx, plans, out.CampaignResult, units)
+	executed, err := p.RunUnits(ctx, plans, out.CampaignResult, units)
 	out.Executed = executed
 	return out, err
 }

@@ -4,20 +4,18 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ipas/internal/fault"
 )
 
 // cancelAfter returns a context cancelled once the campaign's progress
-// callback has fired `after` times, wired into c via opts.Progress.
-func cancelAfter(opts *Options, after int64) context.Context {
+// callback has fired `after` times, wired into c.Progress.
+func cancelAfter(c *fault.Campaign, after int64) context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	opts.Progress = func(d, total, failed, deadlocked int) {
+	c.Progress = func(d, total, failed, deadlocked int) {
 		if done.Add(1) >= after {
 			cancel()
 		}
@@ -28,20 +26,24 @@ func cancelAfter(opts *Options, after int64) context.Context {
 // TestChaosCrashResumeBitIdentical is the chaos gauntlet: a campaign
 // is killed mid-flight twice, its journals are mutilated between
 // resumes — a torn tail (process killed mid-write), a wholesale
-// corrupt shard journal, a deleted shard journal — and a shard panics
-// on its first attempt of the final leg. The survivor must be
+// corrupt shard journal, a deleted shard journal. The survivor must be
 // bit-identical, result and merged journal both, to an uninterrupted
 // single-loop campaign.
 func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	const seed, n, shards = 31, 60, 6
 	refRes, refJournal := referenceRun(t, seed, n)
 	dir := t.TempDir()
-	base := Options{Shards: shards, Workers: 3, Backoff: time.Millisecond, Dir: dir}
+	opts := Options{Shards: shards, Dir: dir}
+	campaign := func() *fault.Campaign {
+		c := testCampaign(t, seed)
+		c.Workers = 3
+		return c
+	}
 
 	// Leg 1: kill after ~10 trials.
-	opts := base
-	ctx := cancelAfter(&opts, 10)
-	if _, err := Run(ctx, testCampaign(t, seed), n, opts); err != context.Canceled {
+	c := campaign()
+	ctx := cancelAfter(c, 10)
+	if _, err := Run(ctx, c, n, opts); err != context.Canceled {
 		t.Fatalf("leg 1 returned %v, want context.Canceled", err)
 	}
 
@@ -63,9 +65,9 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	}
 
 	// Leg 2: kill again after ~15 more trials.
-	opts = base
-	ctx = cancelAfter(&opts, 15)
-	if _, err := Run(ctx, testCampaign(t, seed), n, opts); err != context.Canceled {
+	c = campaign()
+	ctx = cancelAfter(c, 15)
+	if _, err := Run(ctx, c, n, opts); err != context.Canceled {
 		t.Fatalf("leg 2 returned %v, want context.Canceled", err)
 	}
 
@@ -74,87 +76,11 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Leg 3: run to completion, with shard 3 panicking on its first
-	// attempt of this leg — quarantine must back off, retry, and heal.
-	opts = base
-	opts.beforeShard = func(sh, attempt int) {
-		if sh == 3 && attempt == 1 {
-			panic("chaos: injected shard panic")
-		}
-	}
-	res, err := Run(context.Background(), testCampaign(t, seed), n, opts)
+	// Leg 3: run to completion.
+	res, err := Run(context.Background(), campaign(), n, opts)
 	if err != nil {
 		t.Fatalf("final leg failed: %v", err)
 	}
 	assertSameResult(t, res, refRes)
 	assertMergedJournal(t, dir, refJournal)
-}
-
-// TestChaosQuarantineIsolation verifies failure-domain isolation: a
-// shard whose every attempt panics is quarantined without poisoning
-// its siblings — their trials match the reference exactly, the sick
-// shard's unexecuted trials are recorded as failed with the cause, and
-// the campaign degrades (partial result + error) instead of dying.
-func TestChaosQuarantineIsolation(t *testing.T) {
-	const seed, n, shards = 41, 40, 4
-	refRes, _ := referenceRun(t, seed, n)
-
-	var attempts atomic.Int64
-	res, err := Run(context.Background(), testCampaign(t, seed), n, Options{
-		Shards: shards, Workers: 2, Retries: 1, Backoff: time.Millisecond,
-		beforeShard: func(sh, attempt int) {
-			if sh == 2 {
-				attempts.Add(1)
-				panic("chaos: permanently sick shard")
-			}
-		},
-	})
-	if err == nil {
-		t.Fatal("campaign with a permanently sick shard reported no error")
-	}
-	if !strings.Contains(err.Error(), "shard 2/4 quarantined") ||
-		!strings.Contains(err.Error(), "permanently sick shard") {
-		t.Fatalf("error does not attribute the quarantine: %v", err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("sick shard attempted %d times, want 2 (1 + Retries)", got)
-	}
-	lo, hi := Range(n, shards, 2)
-	if res.Pending != 0 || res.Failed != hi-lo || res.Completed != n-(hi-lo) {
-		t.Fatalf("pending=%d failed=%d completed=%d, want 0/%d/%d",
-			res.Pending, res.Failed, res.Completed, hi-lo, n-(hi-lo))
-	}
-	for i := range res.Trials {
-		if i >= lo && i < hi {
-			tr := res.Trials[i]
-			if tr.Status != fault.TrialFailed || !strings.Contains(tr.Err, "quarantined") || tr.Attempts != 2 {
-				t.Fatalf("quarantined trial %d recorded as %+v", i, tr)
-			}
-			continue
-		}
-		if res.Trials[i] != refRes.Trials[i] {
-			t.Fatalf("sibling trial %d poisoned by the quarantine: %+v vs %+v",
-				i, res.Trials[i], refRes.Trials[i])
-		}
-	}
-}
-
-// TestChaosWatchdogQuarantine verifies that a shard attempt outliving
-// its watchdog is quarantined through the same path as a panic, with
-// the expiry named in the failure.
-func TestChaosWatchdogQuarantine(t *testing.T) {
-	const seed, n = 43, 8
-	res, err := Run(context.Background(), testCampaign(t, seed), n, Options{
-		Shards: 2, Workers: 2, Retries: fault.NoRetries, Backoff: time.Millisecond,
-		Watchdog: time.Nanosecond,
-	})
-	if err == nil {
-		t.Fatal("campaign under a 1ns watchdog reported no error")
-	}
-	if !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("error does not name the watchdog: %v", err)
-	}
-	if res.Failed != n || res.Pending != 0 {
-		t.Fatalf("failed=%d pending=%d, want %d/0", res.Failed, res.Pending, n)
-	}
 }

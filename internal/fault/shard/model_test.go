@@ -47,7 +47,8 @@ func TestModelShardCountInvariance(t *testing.T) {
 					dir := t.TempDir()
 					c := testCampaign(t, seed)
 					c.Model = model
-					res, err := Run(context.Background(), c, n, Options{Shards: k, Workers: 2, Dir: dir})
+					c.Workers = 2
+					res, err := Run(context.Background(), c, n, Options{Shards: k, Dir: dir})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -67,7 +68,8 @@ func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 	const seed, n = 29, 20
 	dir := t.TempDir()
 	c := testCampaign(t, seed)
-	if _, err := Run(context.Background(), c, n, Options{Shards: 2, Workers: 2, Dir: dir}); err != nil {
+	c.Workers = 2
+	if _, err := Run(context.Background(), c, n, Options{Shards: 2, Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +102,8 @@ func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 	}
 
 	c2 := testCampaign(t, seed)
-	_, err = Run(context.Background(), c2, n, Options{Shards: 2, Workers: 2, Dir: dir, Retries: fault.ExplicitRetries(0)})
+	c2.Workers = 2
+	_, err = Run(context.Background(), c2, n, Options{Shards: 2, Dir: dir})
 	if err == nil {
 		t.Fatal("sharded resume accepted a journal naming an unknown model")
 	}

@@ -140,8 +140,9 @@ func TestShardCountInvariance(t *testing.T) {
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			t.Run(fmt.Sprintf("shards=%d,workers=%d", k, w), func(t *testing.T) {
 				dir := t.TempDir()
-				res, err := Run(context.Background(), testCampaign(t, seed), n,
-					Options{Shards: k, Workers: w, Dir: dir})
+				c := testCampaign(t, seed)
+				c.Workers = w
+				res, err := Run(context.Background(), c, n, Options{Shards: k, Dir: dir})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,12 +168,13 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 				defer cancel()
 				var done atomic.Int64
 				c := testCampaign(t, seed)
+				c.Workers = w
 				c.Progress = func(d, total, failed, deadlocked int) {
 					if done.Add(1) >= n/3 {
 						cancel()
 					}
 				}
-				res, err := Run(ctx, c, n, Options{Shards: k, Workers: w, Dir: dir})
+				res, err := Run(ctx, c, n, Options{Shards: k, Dir: dir})
 				if err != context.Canceled {
 					t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
 				}
@@ -185,8 +187,9 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 
 				// Resume with a different worker count: scheduling
 				// must not leak into results.
-				res2, err := Run(context.Background(), testCampaign(t, seed), n,
-					Options{Shards: k, Workers: w%3 + 1, Dir: dir})
+				c2 := testCampaign(t, seed)
+				c2.Workers = w%3 + 1
+				res2, err := Run(context.Background(), c2, n, Options{Shards: k, Dir: dir})
 				if err != nil {
 					t.Fatal(err)
 				}

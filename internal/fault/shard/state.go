@@ -2,13 +2,13 @@ package shard
 
 import "fmt"
 
-// State enumerates the lifecycle of one shard in any dispatch engine.
-// Two engines drive it today: the in-process work-stealing scheduler
-// in this package, and the campaign coordinator's lease registry
-// (internal/campaign), which adds time-bounded leases on top. Both
-// share the same invariants — a shard is retried through quarantine
-// with a bounded budget, and only exhaustion makes it terminal — so
-// the transition rules live here, once.
+// State enumerates the lifecycle of one shard under a dispatch engine
+// that treats shards as failure domains: the campaign coordinator's
+// lease registry (internal/campaign), where a shard runs in another
+// process under a time-bounded lease. A shard is retried through
+// quarantine with a bounded budget, and only exhaustion makes it
+// terminal. (In-process, Run needs no lifecycle: a shard is one unit
+// of the local trial runner, and failures are contained per trial.)
 type State uint8
 
 const (
@@ -75,12 +75,10 @@ func (m *StateMachine) State(s int) State { return m.states[s] }
 // Attempts returns how many attempts shard s has started.
 func (m *StateMachine) Attempts(s int) int { return m.attempts[s] }
 
-// Acquire starts an attempt on shard s and returns its 1-based attempt
-// number. A shard is acquirable from StateQueued, or directly from
-// StateBackoff for engines whose backoff timers feed their own run
-// queue (the in-process scheduler): there the pop is the requeue.
+// Acquire starts an attempt on a queued shard s and returns its
+// 1-based attempt number. A quarantined shard must be requeued first.
 func (m *StateMachine) Acquire(s int) int {
-	m.mustBe(s, "Acquire", StateQueued, StateBackoff)
+	m.mustBe(s, "Acquire", StateQueued)
 	m.states[s] = StateRunning
 	m.attempts[s]++
 	return m.attempts[s]

@@ -2,9 +2,8 @@ package shard
 
 import "testing"
 
-// The state machine is shared between the in-process scheduler and the
-// campaign coordinator's lease registry; its transition rules are the
-// quarantine semantics both engines must agree on.
+// The state machine is the campaign coordinator's shard lifecycle; its
+// transition rules are the lease registry's quarantine semantics.
 func TestStateMachineLifecycle(t *testing.T) {
 	m := NewStateMachine(3)
 	if m.Len() != 3 || m.Terminal() != 0 || m.AllTerminal() {
@@ -36,14 +35,8 @@ func TestStateMachineLifecycle(t *testing.T) {
 	if a := m.Acquire(1); a != 2 {
 		t.Fatalf("second acquire attempt = %d, want 2", a)
 	}
-	// Direct Backoff → Running re-acquire (the in-process scheduler's
-	// pop-is-the-requeue path).
-	m.Quarantine(1)
-	if a := m.Acquire(1); a != 3 {
-		t.Fatalf("backoff re-acquire attempt = %d, want 3", a)
-	}
 	m.Fail(1)
-	if m.State(1) != StateFailed || m.Attempts(1) != 3 {
+	if m.State(1) != StateFailed || m.Attempts(1) != 2 {
 		t.Fatalf("after fail: state=%v attempts=%d", m.State(1), m.Attempts(1))
 	}
 
@@ -70,6 +63,7 @@ func TestStateMachineRejectsInvalidTransitions(t *testing.T) {
 		{"requeue while queued", func(m *StateMachine) { m.Requeue(0) }},
 		{"fail while queued", func(m *StateMachine) { m.Fail(0) }},
 		{"acquire while running", func(m *StateMachine) { m.Acquire(0); m.Acquire(0) }},
+		{"acquire in backoff", func(m *StateMachine) { m.Acquire(0); m.Quarantine(0); m.Acquire(0) }},
 		{"acquire after done", func(m *StateMachine) { m.Acquire(0); m.Complete(0); m.Acquire(0) }},
 		{"fail after done", func(m *StateMachine) { m.Acquire(0); m.Complete(0); m.Fail(0) }},
 	} {

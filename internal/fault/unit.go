@@ -11,24 +11,35 @@ import (
 	"ipas/internal/interp"
 )
 
-// unit is a journal-scoped slice of a campaign's trial space: trials
-// [lo, hi) of the plan list, recorded into j under unit-local indices
-// t-lo. A plain campaign is one unit over [0, n) on Campaign.Journal; a
-// sectioned campaign run by RunSections is one unit per non-empty
-// section on that section's journal.
-type unit struct {
-	lo, hi int
-	// j receives the unit's finished trials; nil runs unjournaled.
-	j *Journal
+// Unit is a journal-scoped slice of a campaign's trial space: trials
+// [Lo, Hi) of the plan list, recorded into Journal. A plain campaign is
+// one unit over [0, n) on Campaign.Journal; a sectioned campaign run by
+// RunSections is one unit per non-empty section on that section's
+// journal; a sharded campaign (internal/fault/shard) is one unit per
+// shard on that shard's journal.
+type Unit struct {
+	Lo, Hi int
+	// Journal receives the unit's finished trials; nil runs
+	// unjournaled.
+	Journal *Journal
 	// sites, when non-nil, is the section's sorted global SiteID list:
-	// journal records hold ordinals into it instead of global SiteIDs,
-	// so a section's journal survives edits that renumber other
-	// sections' sites.
+	// a section journal holds section-local records — index t-Lo and an
+	// ordinal into sites instead of the global SiteID — so it survives
+	// edits that renumber other sections' sites. Every other unit
+	// journals campaign-global indices and sites.
 	sites []int
 }
 
+// base is the campaign index of the unit journal's record 0.
+func (u *Unit) base() int {
+	if u.sites == nil {
+		return 0
+	}
+	return u.Lo
+}
+
 // local rewrites a trial's global SiteID into the unit's journal form.
-func (u *unit) local(tr Trial) Trial {
+func (u *Unit) local(tr Trial) Trial {
 	if u.sites == nil {
 		return tr
 	}
@@ -42,7 +53,7 @@ func (u *unit) local(tr Trial) Trial {
 }
 
 // global is the inverse of local, applied on restore.
-func (u *unit) global(tr Trial) Trial {
+func (u *Unit) global(tr Trial) Trial {
 	if u.sites == nil {
 		return tr
 	}
@@ -54,28 +65,31 @@ func (u *unit) global(tr Trial) Trial {
 	return tr
 }
 
-// restore settles the unit's slots of trials from a journal's restored
-// records (unit-local indices) and returns how many it settled.
-func (u *unit) restore(trials []Trial, prev map[int]Trial) int {
+// restore settles the unit's slots of trials from its journal's
+// restored records and returns how many it settled.
+func (u *Unit) restore(trials []Trial, prev map[int]Trial) int {
 	n := 0
 	for t, tr := range prev {
-		if t < 0 || t >= u.hi-u.lo || tr.Status == TrialPending {
+		t += u.base()
+		if t < u.Lo || t >= u.Hi || tr.Status == TrialPending {
 			continue
 		}
-		trials[u.lo+t] = u.global(tr)
+		trials[t] = u.global(tr)
 		n++
 	}
 	return n
 }
 
-// runUnits is the local trial runner: it executes every still-pending
-// trial of out on Workers goroutines, records each finished trial in
-// its unit's journal, and reports Progress(done, total, failed,
-// deadlocked) with restored trials counted in every tally. Units are
-// disjoint and sorted by lo. It returns how many trials ran, and the
-// campaign error: ctx.Err() on cancellation (pending trials stay
-// pending for resume), else the joined per-trial and journal errors.
-func (p *Prepared) runUnits(ctx context.Context, plans []interp.FaultPlan, out *CampaignResult, units []unit) (int, error) {
+// RunUnits is the local trial runner: it executes every still-pending
+// trial of out (plans[t] for trial t) on the campaign's Workers
+// goroutines, records each finished trial in its unit's journal, and
+// reports the campaign's Progress(done, total, failed, deadlocked) with
+// already-settled trials counted in every tally. Units are disjoint,
+// sorted by Lo, and cover every pending trial. It returns how many
+// trials ran, and the campaign error: ctx.Err() on cancellation
+// (pending trials stay pending for resume), else the joined per-trial
+// errors and, if an append failed, one error wrapping ErrJournalWrite.
+func (p *Prepared) RunUnits(ctx context.Context, plans []interp.FaultPlan, out *CampaignResult, units []Unit) (int, error) {
 	var pending []int
 	done, failed, deadlocked := 0, 0, 0
 	for t, tr := range out.Trials {
@@ -114,9 +128,9 @@ func (p *Prepared) runUnits(ctx context.Context, plans []interp.FaultPlan, out *
 		if tr.Deadlock != "" {
 			deadlocked++
 		}
-		u := &units[sort.Search(len(units), func(i int) bool { return units[i].hi > t })]
-		if u.j != nil {
-			if err := u.j.Record(t-u.lo, u.local(tr)); err != nil && journalErr == nil {
+		u := &units[sort.Search(len(units), func(i int) bool { return units[i].Hi > t })]
+		if u.Journal != nil {
+			if err := u.Journal.Record(t-u.base(), u.local(tr)); err != nil && journalErr == nil {
 				journalErr = err
 			}
 		}
@@ -157,7 +171,7 @@ feed:
 		errs = append(errs, ferr)
 	}
 	if journalErr != nil {
-		errs = append(errs, fmt.Errorf("fault: journal write: %w", journalErr))
+		errs = append(errs, fmt.Errorf("fault: %w: %w", ErrJournalWrite, journalErr))
 	}
 	if err := ctx.Err(); err != nil {
 		return executed, err
