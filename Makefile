@@ -145,15 +145,20 @@ errmodel-smoke:
 # must keep outcome classes schedule-independent and clean/deadlock
 # results bit-identical (see FuzzMPISchedule). Then a short fuzz of
 # the SMO solver against its frozen pre-rewrite reference, which must
-# agree bit for bit (see FuzzSolveDifferential). CI runs this as a
-# smoke; run it open-ended with a larger -fuzztime to go hunting.
+# agree bit for bit (see FuzzSolveDifferential). Last, a short fuzz of
+# campaign-name admission: any name the coordinator accepts must map to
+# a journal directory directly under its root (see FuzzSpecID). CI runs
+# this as a smoke; run it open-ended with a larger -fuzztime to go
+# hunting.
 fuzz-smoke:
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
 	$(GO) test -run '^FuzzSolveDifferential$$' -fuzz '^FuzzSolveDifferential$$' -fuzztime 10s ./internal/svm
+	$(GO) test -run '^FuzzSpecID$$' -fuzz '^FuzzSpecID$$' -fuzztime 10s ./internal/campaign
 
 # Long-running fuzz of the differential oracle (fused fast loop vs
 # instrumented loop vs IR reference walker), the MPI schedule
-# invariants and the SMO solver vs its frozen reference. The nightly
+# invariants, the SMO solver vs its frozen reference and the campaign
+# spec → journal directory mapping. The nightly
 # CI job runs each for 10 minutes and uploads any crashers from
 # testdata/fuzz as artifacts; FUZZTIME overrides the budget locally.
 FUZZTIME ?= 10m
@@ -161,6 +166,7 @@ fuzz-nightly:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime $(FUZZTIME) -race ./internal/interp
 	$(GO) test -run '^FuzzSolveDifferential$$' -fuzz '^FuzzSolveDifferential$$' -fuzztime $(FUZZTIME) ./internal/svm
+	$(GO) test -run '^FuzzSpecID$$' -fuzz '^FuzzSpecID$$' -fuzztime $(FUZZTIME) ./internal/campaign
 
 # One benchmark per paper table/figure plus component and ablation
 # benches; writes bench_output.txt.

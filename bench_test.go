@@ -18,7 +18,6 @@ import (
 	"ipas/internal/dup"
 	"ipas/internal/experiments"
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/features"
 	"ipas/internal/interp"
 	"ipas/internal/ir"
@@ -265,7 +264,7 @@ func BenchmarkCampaignSetup(b *testing.B) {
 }
 
 // BenchmarkShardedCampaign measures the sharded campaign engine
-// (internal/fault/shard) against the single-loop baseline above. Both
+// (fault.Campaign.RunSharded) against the single-loop baseline above. Both
 // configurations run trials on GOMAXPROCS workers of the shared trial
 // runner: "1shard" is one unit over every trial, "sharded" splits the
 // trials into one unit per core. Journaling is off in both, so the
@@ -287,10 +286,9 @@ func BenchmarkShardedCampaign(b *testing.B) {
 					b.Fatal(err)
 				}
 				c := &fault.Campaign{Prog: prog, Verify: app.Verify, Config: app.Config, Seed: 9}
-				opts := shard.Options{Shards: cfg.shards}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := shard.Run(context.Background(), c, trials, opts); err != nil {
+					if _, err := c.RunSharded(context.Background(), trials, cfg.shards, ""); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -55,7 +55,6 @@ import (
 	"ipas/internal/compose"
 	"ipas/internal/dup"
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/interp"
 	"ipas/internal/ir"
 	"ipas/internal/stats"
@@ -124,7 +123,7 @@ func main() {
 	}
 
 	if *sections && *shards > 1 && *remote == "" {
-		fatal(errors.New("-sections runs its own per-section worker pool locally; drop -shards (a -remote coordinator shards sectioned campaigns itself)"))
+		fatal(errors.New("-sections journals per section, not per shard; drop -shards (a -remote coordinator shards sectioned campaigns itself)"))
 	}
 
 	var journal *fault.Journal
@@ -236,7 +235,7 @@ func main() {
 			res = secRes.CampaignResult
 		}
 	case *shards > 1:
-		res, err = shard.Run(ctx, c, *n, shard.Options{Shards: *shards, Dir: *journalPath})
+		res, err = c.RunSharded(ctx, *n, *shards, *journalPath)
 	default:
 		res, err = c.RunContext(ctx, *n)
 	}

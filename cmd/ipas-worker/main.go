@@ -1,10 +1,11 @@
 // Command ipas-worker executes fault-injection shards leased from a
-// campaignd coordinator. It rebuilds each campaign from the spec in
-// the lease grant, refuses leases whose campaign fingerprint disagrees
-// with its own build, and streams every finished trial back as a
-// durable-acked journal segment. Run as many workers as you like, on
-// as many machines as reach the coordinator; killing one mid-shard
-// only costs the unacked tail of that shard.
+// campaignd coordinator, one lease at a time. It rebuilds each campaign
+// from the spec in the lease grant, refuses leases whose campaign
+// fingerprint disagrees with its own build, and runs the shard's
+// unsettled trials one by one, posting each as a journal segment and
+// waiting for the coordinator's durable ack before starting the next.
+// Run as many workers as you like, on as many machines as reach the
+// coordinator; killing one mid-shard only costs the trial in flight.
 package main
 
 import (

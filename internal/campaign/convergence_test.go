@@ -7,7 +7,7 @@ import (
 	"os"
 	"testing"
 
-	"ipas/internal/fault/shard"
+	"ipas/internal/fault"
 	"ipas/internal/workloads"
 )
 
@@ -68,12 +68,12 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.Workers = 2
-			sres, err := shard.Run(ctx, sc, spec.Trials, shard.Options{Shards: 2, Dir: dir})
+			sres, err := sc.RunSharded(ctx, spec.Trials, 2, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameTrials(t, sres, want)
-			merged, err := os.ReadFile(shard.MergedJournalPath(dir))
+			merged, err := os.ReadFile(fault.MergedJournalPath(dir))
 			if err != nil {
 				t.Fatal(err)
 			}

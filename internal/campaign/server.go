@@ -7,13 +7,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/interp"
 )
 
@@ -57,6 +57,43 @@ type lease struct {
 	expires time.Time
 }
 
+// shardPhase is one shard's place in the lease lifecycle.
+type shardPhase uint8
+
+const (
+	phaseQueued  shardPhase = iota // runnable, waiting for a lease
+	phaseRunning                   // held by a worker under a live lease
+	phaseBackoff                   // quarantined after a failed lease, waiting out its delay
+	phaseDone                      // every trial in the shard's range is settled
+	phaseFailed                    // retry budget exhausted; unexecuted trials recorded as TrialFailed
+)
+
+// String returns the wire name ShardStatus.State reports.
+func (p shardPhase) String() string {
+	return [...]string{"queued", "running", "backoff", "done", "failed"}[p]
+}
+
+// shardEdges is the shard lifecycle: exactly the transitions the
+// coordinator takes. queued→running is a grant (it charges an
+// attempt), queued→done settles a shard whose range was restored from
+// its journals, running→done completes a lease, running→backoff and
+// running→failed release a failed lease within or beyond the retry
+// budget, and backoff→queued requeues once the delay has passed. The
+// terminal phases have no way out.
+var shardEdges = [phaseFailed + 1][]shardPhase{
+	phaseQueued:  {phaseRunning, phaseDone},
+	phaseRunning: {phaseDone, phaseBackoff, phaseFailed},
+	phaseBackoff: {phaseQueued},
+}
+
+// shardSlot is one shard's lease record.
+type shardSlot struct {
+	phase        shardPhase
+	attempts     int       // leases granted so far
+	backoffUntil time.Time // phaseBackoff: when the shard may requeue
+	lease        *lease    // phaseRunning: the live lease
+}
+
 // state is one admitted campaign.
 type state struct {
 	id    string
@@ -66,13 +103,13 @@ type state struct {
 	meta  fault.JournalMeta // campaign-wide (merged-journal) header
 	plans []interp.FaultPlan
 	res   *fault.CampaignResult
-	sm    *shard.StateMachine
 
-	journals     []*fault.Journal
-	jmu          []sync.Mutex // per-shard journal I/O; see Server's locking notes
-	failedShard  []bool       // guarded by jmu[sh]: shard terminally failed, journal retired
-	backoffUntil []time.Time
-	leaseOf      []*lease
+	shards   []shardSlot // guarded by Server.mu
+	terminal int         // shards in phaseDone or phaseFailed
+
+	journals    []*fault.Journal
+	jmu         []sync.Mutex // per-shard journal I/O; see Server's locking notes
+	failedShard []bool       // guarded by jmu[sh]: shard terminally failed, journal retired
 
 	restored  int   // trials recovered from durable journals on admit
 	recovered []int // shards whose corrupt journal was rebuilt on admit
@@ -305,28 +342,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // admitLocked registers a campaign and restores its journal directory
-// through shard.OpenDir, the in-process engine's own recovery path:
+// through fault.OpenShardDir, the in-process engine's own recovery path:
 // torn tails are truncated on open, a corrupt shard journal is rebuilt
 // and its shard re-run, a valid journal of a different campaign is
 // never clobbered.
 func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fault.JournalMeta) (*state, error) {
 	plans := prep.Plans(spec.Trials)
 	st := &state{
-		id:           id,
-		spec:         spec,
-		n:            spec.Trials,
-		k:            spec.Shards,
-		dir:          filepath.Join(s.opts.Dir, id),
-		meta:         meta,
-		plans:        plans,
-		res:          prep.NewResult(plans),
-		sm:           shard.NewStateMachine(spec.Shards),
-		jmu:          make([]sync.Mutex, spec.Shards),
-		failedShard:  make([]bool, spec.Shards),
-		backoffUntil: make([]time.Time, spec.Shards),
-		leaseOf:      make([]*lease, spec.Shards),
+		id:          id,
+		spec:        spec,
+		n:           spec.Trials,
+		k:           spec.Shards,
+		dir:         filepath.Join(s.opts.Dir, id),
+		meta:        meta,
+		plans:       plans,
+		res:         prep.NewResult(plans),
+		shards:      make([]shardSlot, spec.Shards),
+		jmu:         make([]sync.Mutex, spec.Shards),
+		failedShard: make([]bool, spec.Shards),
 	}
-	journals, recovered, err := shard.OpenDir(st.dir, meta, st.k, st.res.Trials)
+	journals, recovered, err := fault.OpenShardDir(st.dir, meta, st.k, st.res.Trials)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +377,7 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 	// Shards whose whole range is already durable owe no execution.
 	for sh := 0; sh < st.k; sh++ {
 		if st.settledIn(sh) == rangeLen(st.n, st.k, sh) {
-			st.sm.Settle(sh)
+			st.advance(sh, phaseDone)
 		}
 	}
 	s.campaigns[id] = st
@@ -378,10 +413,12 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		}
 		s.requeueElapsedLocked(st, now)
 		for sh := 0; sh < st.k; sh++ {
-			if st.sm.State(sh) != shard.StateQueued {
+			slot := &st.shards[sh]
+			if slot.phase != phaseQueued {
 				continue
 			}
-			attempt := st.sm.Acquire(sh)
+			st.advance(sh, phaseRunning)
+			attempt := slot.attempts
 			s.leaseSeq++
 			l := &lease{
 				id:      fmt.Sprintf("L%06d", s.leaseSeq),
@@ -391,8 +428,8 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 				expires: now.Add(s.ttl),
 			}
 			s.leases[l.id] = l
-			st.leaseOf[sh] = l
-			lo, hi := shard.Range(st.n, st.k, sh)
+			slot.lease = l
+			lo, hi := fault.ShardRange(st.n, st.k, sh)
 			grant := LeaseGrant{
 				Lease:    l.id,
 				Campaign: st.id,
@@ -461,7 +498,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, sh := l.st, l.shard
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := fault.ShardRange(st.n, st.k, sh)
 	// A trial named twice would be journaled twice (a restore keeps the
 	// last record) but settled once in memory (phase 3 keeps the first):
 	// the two could disagree after a coordinator restart.
@@ -557,8 +594,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		delete(s.leases, l.id)
-		st.leaseOf[l.shard] = nil
-		st.sm.Complete(l.shard)
+		st.shards[l.shard].lease = nil
+		st.advance(l.shard, phaseDone)
 		s.logf("lease %s: shard %d/%d of %s complete", l.id, l.shard, st.k, st.id)
 		s.maybeCompleteLocked(st)
 	}
@@ -579,9 +616,9 @@ func (s *Server) expireLeasesLocked(now time.Time) {
 // requeueElapsedLocked makes quarantined shards whose backoff delay has
 // passed runnable again.
 func (s *Server) requeueElapsedLocked(st *state, now time.Time) {
-	for sh := 0; sh < st.k; sh++ {
-		if st.sm.State(sh) == shard.StateBackoff && !st.backoffUntil[sh].After(now) {
-			st.sm.Requeue(sh)
+	for sh := range st.shards {
+		if st.shards[sh].phase == phaseBackoff && !st.shards[sh].backoffUntil.After(now) {
+			st.advance(sh, phaseQueued)
 		}
 	}
 }
@@ -595,20 +632,21 @@ func (s *Server) requeueElapsedLocked(st *state, now time.Time) {
 func (s *Server) releaseLocked(l *lease, cause string, now time.Time) {
 	delete(s.leases, l.id)
 	st := l.st
-	if st.leaseOf[l.shard] != l {
+	slot := &st.shards[l.shard]
+	if slot.lease != l {
 		return // an older revoked lease racing its replacement
 	}
-	st.leaseOf[l.shard] = nil
-	attempt := st.sm.Attempts(l.shard)
+	slot.lease = nil
+	attempt := slot.attempts
 	if attempt > s.retries {
 		s.failShardLocked(st, l.shard, attempt, cause)
-		st.sm.Fail(l.shard)
+		st.advance(l.shard, phaseFailed)
 		s.logf("lease %s: shard %d/%d of %s failed after %d attempts: %s", l.id, l.shard, st.k, st.id, attempt, cause)
 		s.maybeCompleteLocked(st)
 		return
 	}
-	st.sm.Quarantine(l.shard)
-	st.backoffUntil[l.shard] = now.Add(backoffDelay(s.backoff, attempt))
+	st.advance(l.shard, phaseBackoff)
+	slot.backoffUntil = now.Add(backoffDelay(s.backoff, attempt))
 	s.logf("lease %s: shard %d/%d of %s quarantined (attempt %d): %s", l.id, l.shard, st.k, st.id, attempt, cause)
 }
 
@@ -630,10 +668,11 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 }
 
 // failShardLocked records a terminally quarantined shard's unexecuted
-// trials as TrialFailed, with the same message shape as the in-process
-// engine. Trials settled by earlier attempts keep their real results.
+// trials as TrialFailed, under one deterministic message naming the
+// shard, the attempt count and the cause. Trials settled by earlier
+// attempts keep their real results.
 func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := fault.ShardRange(st.n, st.k, sh)
 	msg := fmt.Sprintf("shard %d/%d quarantined after %d attempts: %s", sh, st.k, attempts, cause)
 	// Taking the shard journal lock (mu → jmu, the cold direction)
 	// retires the journal: a zombie lease's segment that was mid-fsync
@@ -671,11 +710,11 @@ func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
 // Workers=1 run over the same surviving trial set — is written
 // atomically and the shard journals are closed.
 func (s *Server) maybeCompleteLocked(st *state) {
-	if st.complete || !st.sm.AllTerminal() {
+	if st.complete || st.terminal < st.k {
 		return
 	}
 	st.res.Finalize()
-	if err := fault.WriteCanonical(shard.MergedJournalPath(st.dir), st.meta, st.res.Trials); err != nil {
+	if err := fault.WriteCanonical(fault.MergedJournalPath(st.dir), st.meta, st.res.Trials); err != nil {
 		st.finalErr = err
 		s.logf("campaign %s: writing merged journal: %v", st.id, err)
 	}
@@ -740,15 +779,16 @@ func (s *Server) progressLocked(st *state) Progress {
 		p.Errors = strings.TrimSpace(p.Errors + " merged journal: " + st.finalErr.Error())
 	}
 	for sh := 0; sh < st.k; sh++ {
-		lo, hi := shard.Range(st.n, st.k, sh)
+		lo, hi := fault.ShardRange(st.n, st.k, sh)
+		slot := &st.shards[sh]
 		ss := ShardStatus{
-			State:    st.sm.State(sh).String(),
-			Attempts: st.sm.Attempts(sh),
+			State:    slot.phase.String(),
+			Attempts: slot.attempts,
 			Lo:       lo,
 			Hi:       hi,
 			Settled:  st.settledIn(sh),
 		}
-		if l := st.leaseOf[sh]; l != nil {
+		if l := slot.lease; l != nil {
 			ss.Worker = l.worker
 		}
 		p.Shards[sh] = ss
@@ -788,7 +828,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooEarly, "campaign %s is still running", st.id)
 		return
 	}
-	path := shard.MergedJournalPath(st.dir)
+	path := fault.MergedJournalPath(st.dir)
 	s.mu.Unlock()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -808,9 +848,27 @@ func statusOf(st *state) string {
 	return "running"
 }
 
+// advance moves shard sh to phase next along one of shardEdges; any
+// other edge is a coordinator bug, never an environmental condition,
+// and panics. Entering phaseRunning charges an attempt, and entering a
+// terminal phase counts toward campaign completion.
+func (st *state) advance(sh int, next shardPhase) {
+	slot := &st.shards[sh]
+	if !slices.Contains(shardEdges[slot.phase], next) {
+		panic(fmt.Sprintf("campaign: shard %d cannot move from %v to %v", sh, slot.phase, next))
+	}
+	slot.phase = next
+	switch next {
+	case phaseRunning:
+		slot.attempts++
+	case phaseDone, phaseFailed:
+		st.terminal++
+	}
+}
+
 // settledIn counts shard sh's settled trials.
 func (st *state) settledIn(sh int) int {
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := fault.ShardRange(st.n, st.k, sh)
 	n := 0
 	for t := lo; t < hi; t++ {
 		if st.res.Trials[t].Status != fault.TrialPending {
@@ -822,7 +880,7 @@ func (st *state) settledIn(sh int) int {
 
 // settledIndices lists shard sh's settled trial indices in order.
 func (st *state) settledIndices(sh int) []int {
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := fault.ShardRange(st.n, st.k, sh)
 	var out []int
 	for t := lo; t < hi; t++ {
 		if st.res.Trials[t].Status != fault.TrialPending {
@@ -833,7 +891,7 @@ func (st *state) settledIndices(sh int) []int {
 }
 
 func rangeLen(n, k, sh int) int {
-	lo, hi := shard.Range(n, k, sh)
+	lo, hi := fault.ShardRange(n, k, sh)
 	return hi - lo
 }
 

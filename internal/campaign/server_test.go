@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 )
 
 // testSource mirrors the fault package's shared test program: 32
@@ -262,8 +261,8 @@ func TestServerJournalPathologies(t *testing.T) {
 	startWorker(t, client, nil)
 	waitComplete(t, client, sub.ID)
 
-	shard0 := func(root string) string { return filepath.Join(root, sub.ID, shard.JournalName(0)) }
-	merged := func(root string) string { return shard.MergedJournalPath(filepath.Join(root, sub.ID)) }
+	shard0 := func(root string) string { return filepath.Join(root, sub.ID, fault.ShardJournalName(0)) }
+	merged := func(root string) string { return fault.MergedJournalPath(filepath.Join(root, sub.ID)) }
 
 	for _, tc := range []struct {
 		name       string
@@ -458,7 +457,7 @@ func TestServerQuarantineExhaustionFailsShardAlone(t *testing.T) {
 	})
 
 	res := waitComplete(t, client, sub.ID)
-	lo, hi := shard.Range(spec.Trials, spec.Shards, sick)
+	lo, hi := fault.ShardRange(spec.Trials, spec.Shards, sick)
 	if res.Failed != hi-lo {
 		t.Fatalf("%d trials failed, want the sick shard's %d", res.Failed, hi-lo)
 	}
@@ -560,8 +559,38 @@ func TestServerRejectsDuplicateRecordInSegment(t *testing.T) {
 	}
 }
 
+// A campaign name whose sanitized ID is "." or ".." would put the
+// campaign's journals in the coordinator root or its parent. Admission
+// must refuse it before touching the disk.
+func TestServerRejectsDotCampaignName(t *testing.T) {
+	for _, name := range []string{".", ".."} {
+		t.Run(name, func(t *testing.T) {
+			parent := t.TempDir()
+			root := filepath.Join(parent, "root")
+			client := newTestServer(t, Options{Dir: root})
+			spec := Spec{Name: name, Workload: "IS", Trials: 2}
+			if got := postStatus(t, client.Base, "/api/v1/campaigns", spec); got != http.StatusBadRequest {
+				t.Fatalf("submitting name %q: HTTP %d, want 400", name, got)
+			}
+			for dir, want := range map[string]int{parent: 1, root: 0} {
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) != want {
+					var names []string
+					for _, e := range entries {
+						names = append(names, e.Name())
+					}
+					t.Fatalf("%s holds %v after a rejected submission", dir, names)
+				}
+			}
+		})
+	}
+}
+
 // A local sharded run and the coordinator share one directory layout:
-// a campaign interrupted on shard.Run under root/<id> — with holes
+// a campaign interrupted on Campaign.RunSharded under root/<id> — with holes
 // anywhere in a shard's range, since a shard's trials run concurrently
 // — is admitted as a resume by a coordinator rooted at root, finished
 // by workers, and merges bit-identically to the single-loop reference.
@@ -583,7 +612,7 @@ func TestServerResumesLocalShardedRun(t *testing.T) {
 			cancel()
 		}
 	}
-	local, err := shard.Run(ctx, c, spec.Trials, shard.Options{Shards: spec.Shards, Dir: filepath.Join(root, spec.ID())})
+	local, err := c.RunSharded(ctx, spec.Trials, spec.Shards, filepath.Join(root, spec.ID()))
 	if err != context.Canceled {
 		t.Fatalf("interrupted local run returned %v, want context.Canceled", err)
 	}

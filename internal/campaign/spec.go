@@ -1,18 +1,19 @@
 // Package campaign turns the sharded fault-injection engine into a
 // service: a coordinator (cmd/campaignd) accepts campaign specs over
 // HTTP/JSON, partitions the trial space with the deterministic
-// shard.Range, and hands shards to remote workers (cmd/ipas-worker)
+// fault.ShardRange, and hands shards to remote workers (cmd/ipas-worker)
 // under time-bounded leases. Workers stream finished trials back as
 // journal segments; the coordinator acknowledges a segment only after
 // it is durable on disk, so a SIGKILLed or partitioned worker is
 // replaced without losing an acked trial, and the completed campaign's
 // merged journal is byte-identical to a local single-loop run.
 //
-// Shard lifecycle (queued → running → backoff → queued ... →
-// done/failed) is shard.StateMachine; this package adds leases,
-// heartbeats, and durable acks on top. All requeue, backoff, and quarantine decisions
-// are deterministic given the order of events — no report content ever
-// depends on the wall clock.
+// Each shard has one lease record in the coordinator: its lifecycle
+// phase (queued → running → backoff → queued ... → done/failed, see
+// shardEdges), attempt count, backoff deadline and live lease. All
+// requeue, backoff, and quarantine decisions are deterministic given
+// the order of events — no report content ever depends on the wall
+// clock.
 package campaign
 
 import (
@@ -126,6 +127,14 @@ func (s *Spec) Validate() error {
 		}
 	} else if s.Trials <= 0 {
 		return fmt.Errorf("campaign: spec needs trials > 0 (got %d)", s.Trials)
+	}
+	if s.Name != "" {
+		// The ID names the campaign's journal directory under the
+		// coordinator root; "." and ".." would resolve to the root
+		// itself or its parent.
+		if id := sanitizeID(s.Name); id == "." || id == ".." {
+			return fmt.Errorf("campaign: name %q is not a usable campaign ID", s.Name)
+		}
 	}
 	if _, err := fault.ParseModel(s.Model); err != nil {
 		return fmt.Errorf("campaign: %w", err)

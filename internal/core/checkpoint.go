@@ -11,7 +11,6 @@ import (
 
 	"ipas/internal/campaign"
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/svm"
 )
 
@@ -26,11 +25,11 @@ type CampaignControls struct {
 	// Workers bounds concurrent trials per campaign (0 = GOMAXPROCS),
 	// whatever the shard count.
 	Workers int
-	// Shards, when > 1, runs each campaign on the sharded engine
-	// (internal/fault/shard): the trial space splits into this many
-	// contiguous shards, each checkpointed in its own journal — the
-	// layout a campaignd coordinator uses. Results are bit-identical
-	// to the single-loop engine for every value.
+	// Shards, when > 1, runs each campaign sharded
+	// (fault.Campaign.RunSharded): the trial space splits into this
+	// many contiguous shards, each checkpointed in its own journal —
+	// the layout a campaignd coordinator uses. Results are
+	// bit-identical to the single-loop engine for every value.
 	Shards int
 	// Model selects the error model every campaign's plans are drawn
 	// with (nil = single-bit, the paper's model). It rides journal
@@ -81,29 +80,6 @@ type CampaignControls struct {
 	MaxPerSection int
 }
 
-// Apply configures one campaign with the controls, opening its journal
-// when checkpointing is enabled.
-func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
-	if cc == nil {
-		return nil
-	}
-	cc.configure(c, stage)
-	return cc.openJournal(c, stage)
-}
-
-// openJournal binds the stage's checkpoint journal to the campaign.
-func (cc *CampaignControls) openJournal(c *fault.Campaign, stage string) error {
-	if cc.Checkpoint == nil {
-		return nil
-	}
-	j, err := cc.Checkpoint.Journal(stage)
-	if err != nil {
-		return err
-	}
-	c.Journal = j
-	return nil
-}
-
 // configure copies the per-trial knobs — retry policy, error model,
 // watchdog, workers and progress reporting — onto the campaign. Every
 // local engine reads them from there.
@@ -145,20 +121,24 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 	case cc.Sections && c.Config.Ranks <= 1:
 		return cc.runSectioned(ctx, c, stage)
 	case cc.Shards <= 1:
-		if err := cc.openJournal(c, stage); err != nil {
-			return nil, err
+		if cc.Checkpoint != nil {
+			j, err := cc.Checkpoint.Journal(stage)
+			if err != nil {
+				return nil, err
+			}
+			c.Journal = j
 		}
 		return c.RunContext(ctx, n)
 	}
-	opts := shard.Options{Shards: cc.Shards}
+	var dir string
 	if cc.Checkpoint != nil {
-		dir, err := cc.Checkpoint.ShardDir(stage)
+		d, err := cc.Checkpoint.ShardDir(stage)
 		if err != nil {
 			return nil, err
 		}
-		opts.Dir = dir
+		dir = d
 	}
-	return shard.Run(ctx, c, n, opts)
+	return c.RunSharded(ctx, n, cc.Shards, dir)
 }
 
 // runSectioned runs one campaign on the sectioned engine. The flat

@@ -10,12 +10,11 @@ import (
 )
 
 // runInputCampaign runs one Figure 9 campaign under the suite's
-// context and controls, tolerating infrastructure-degraded results.
+// context and controls, dispatched like every other campaign (so
+// sectioned and sharded controls apply), tolerating
+// infrastructure-degraded results.
 func (s *Suite) runInputCampaign(ctx context.Context, cc *core.CampaignControls, stage string, c *fault.Campaign) (*fault.CampaignResult, error) {
-	if err := cc.Apply(c, stage); err != nil {
-		return nil, err
-	}
-	res, err := c.RunContext(ctx, s.Params.InputTrials)
+	res, err := cc.Run(ctx, c, s.Params.InputTrials, stage)
 	if res == nil {
 		return nil, err
 	}
@@ -58,8 +57,11 @@ func (s *Suite) Fig9() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d injections per input per variant", s.Params.InputTrials))
+	note := fmt.Sprintf("%d injections per input per variant", s.Params.InputTrials)
+	if cc := s.Params.Opts.Controls; cc != nil && cc.Sections {
+		note = "sectioned: each campaign's per-section allocation sets its trial count"
+	}
+	t.Notes = append(t.Notes, note)
 	return t, nil
 }
 

@@ -396,7 +396,7 @@ var errCancelled = errors.New("fault: trial cancelled")
 
 // Prepared binds a campaign to its golden run: the immutable substrate
 // every trial executes against. RunContext prepares and runs in one
-// call; the sectioned and sharded engines (internal/fault/shard)
+// call; the sectioned and sharded engines (RunSections, RunSharded)
 // prepare once and hand journal-scoped trial ranges to RunUnits, and a
 // remote worker (internal/campaign) runs one leased range with
 // RunTrial. Any split is sound because Plans is a pure function of
@@ -644,7 +644,7 @@ func (r *CampaignResult) Finalize() error {
 // A non-nil result always accounts for all n trials; inspect
 // Completed/Failed/Pending (or ErrorSummary) to see how the campaign
 // degraded. For sharded, crash-tolerant execution of the same trial
-// space see internal/fault/shard.
+// space see RunSharded.
 func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, error) {
 	p, err := c.Prepare(ctx)
 	if err != nil {

@@ -37,7 +37,7 @@ type JournalMeta struct {
 	Population int64 `json:"population"`
 
 	// Shard header: the per-shard journals of a sharded campaign
-	// (internal/fault/shard) record which slice of the trial space
+	// (shard.go) record which slice of the trial space
 	// they own. Shards is the total shard count, Shard this journal's
 	// index, and [ShardStart, ShardEnd) its trial-index range; Trials
 	// above stays the *whole* campaign's count, pinning the plan

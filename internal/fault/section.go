@@ -22,7 +22,7 @@ import (
 //
 // The substrate serves two kinds of run:
 //
-//   - Any engine (Campaign.RunContext, internal/fault/shard,
+//   - Any engine (Campaign.RunContext, Campaign.RunSharded,
 //     internal/campaign) can run a sectioned campaign as an ordinary
 //     one whose Plans carry section targets: Prepare captures the
 //     golden boundary trace, Plans returns the concatenated

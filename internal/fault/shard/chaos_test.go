@@ -33,7 +33,6 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	const seed, n, shards = 31, 60, 6
 	refRes, refJournal := referenceRun(t, seed, n)
 	dir := t.TempDir()
-	opts := Options{Shards: shards, Dir: dir}
 	campaign := func() *fault.Campaign {
 		c := testCampaign(t, seed)
 		c.Workers = 3
@@ -43,14 +42,14 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	// Leg 1: kill after ~10 trials.
 	c := campaign()
 	ctx := cancelAfter(c, 10)
-	if _, err := Run(ctx, c, n, opts); err != context.Canceled {
+	if _, err := c.RunSharded(ctx, n, shards, dir); err != context.Canceled {
 		t.Fatalf("leg 1 returned %v, want context.Canceled", err)
 	}
 
 	// Chaos: a torn tail on shard 0 (the journal's own crash-recovery
 	// drops it) and a half-overwritten, structurally corrupt journal on
 	// shard 1 (the sharded engine deletes it and re-runs the shard).
-	torn := filepath.Join(dir, JournalName(0))
+	torn := filepath.Join(dir, fault.ShardJournalName(0))
 	f, err := os.OpenFile(torn, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	corrupt := filepath.Join(dir, JournalName(1))
+	corrupt := filepath.Join(dir, fault.ShardJournalName(1))
 	if err := os.WriteFile(corrupt, []byte("{\"meta\":{\"format\":\"bogus-v9\"}}\n{\"t\":0}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +66,17 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	// Leg 2: kill again after ~15 more trials.
 	c = campaign()
 	ctx = cancelAfter(c, 15)
-	if _, err := Run(ctx, c, n, opts); err != context.Canceled {
+	if _, err := c.RunSharded(ctx, n, shards, dir); err != context.Canceled {
 		t.Fatalf("leg 2 returned %v, want context.Canceled", err)
 	}
 
 	// Chaos: lose shard 2's journal entirely.
-	if err := os.Remove(filepath.Join(dir, JournalName(2))); err != nil {
+	if err := os.Remove(filepath.Join(dir, fault.ShardJournalName(2))); err != nil {
 		t.Fatal(err)
 	}
 
 	// Leg 3: run to completion.
-	res, err := Run(context.Background(), campaign(), n, opts)
+	res, err := campaign().RunSharded(context.Background(), n, shards, dir)
 	if err != nil {
 		t.Fatalf("final leg failed: %v", err)
 	}

@@ -48,7 +48,7 @@ func TestModelShardCountInvariance(t *testing.T) {
 					c := testCampaign(t, seed)
 					c.Model = model
 					c.Workers = 2
-					res, err := Run(context.Background(), c, n, Options{Shards: k, Dir: dir})
+					res, err := c.RunSharded(context.Background(), n, k, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -69,13 +69,13 @@ func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 	dir := t.TempDir()
 	c := testCampaign(t, seed)
 	c.Workers = 2
-	if _, err := Run(context.Background(), c, n, Options{Shards: 2, Dir: dir}); err != nil {
+	if _, err := c.RunSharded(context.Background(), n, 2, dir); err != nil {
 		t.Fatal(err)
 	}
 
 	// Stamp an unknown model into shard 0's header, keeping the rest of
 	// the journal intact so only the model mismatches.
-	path := filepath.Join(dir, JournalName(0))
+	path := filepath.Join(dir, fault.ShardJournalName(0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -97,13 +97,13 @@ func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 	}
 	// Drop the merged journal so the resume actually re-opens the
 	// per-shard journals.
-	if err := os.Remove(MergedJournalPath(dir)); err != nil {
+	if err := os.Remove(fault.MergedJournalPath(dir)); err != nil {
 		t.Fatal(err)
 	}
 
 	c2 := testCampaign(t, seed)
 	c2.Workers = 2
-	_, err = Run(context.Background(), c2, n, Options{Shards: 2, Dir: dir})
+	_, err = c2.RunSharded(context.Background(), n, 2, dir)
 	if err == nil {
 		t.Fatal("sharded resume accepted a journal naming an unknown model")
 	}

@@ -1,3 +1,8 @@
+// Package shard holds black-box tests of sharded campaign execution
+// ((*fault.Campaign).RunSharded and the shard-directory layout in
+// internal/fault). It has no non-test code: the tests use only the
+// fault package's exported API, as the campaign coordinator and
+// cmd/flipit do, so they cannot lean on fault's internals.
 package shard
 
 import (
@@ -97,7 +102,7 @@ func assertSameResult(t *testing.T, got, want *fault.CampaignResult) {
 
 func assertMergedJournal(t *testing.T, dir string, want []byte) {
 	t.Helper()
-	got, err := os.ReadFile(MergedJournalPath(dir))
+	got, err := os.ReadFile(fault.MergedJournalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestRangePartition(t *testing.T) {
 	} {
 		prev := 0
 		for s := 0; s < tc.k; s++ {
-			lo, hi := Range(tc.n, tc.k, s)
+			lo, hi := fault.ShardRange(tc.n, tc.k, s)
 			if lo != prev {
 				t.Fatalf("n=%d k=%d: shard %d starts at %d, want %d (gap or overlap)", tc.n, tc.k, s, lo, prev)
 			}
@@ -142,7 +147,7 @@ func TestShardCountInvariance(t *testing.T) {
 				dir := t.TempDir()
 				c := testCampaign(t, seed)
 				c.Workers = w
-				res, err := Run(context.Background(), c, n, Options{Shards: k, Dir: dir})
+				res, err := c.RunSharded(context.Background(), n, k, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -174,14 +179,14 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 						cancel()
 					}
 				}
-				res, err := Run(ctx, c, n, Options{Shards: k, Dir: dir})
+				res, err := c.RunSharded(ctx, n, k, dir)
 				if err != context.Canceled {
 					t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
 				}
 				if res == nil || res.Pending == 0 {
 					t.Fatal("cancellation did not interrupt the campaign")
 				}
-				if _, err := os.Stat(MergedJournalPath(dir)); !os.IsNotExist(err) {
+				if _, err := os.Stat(fault.MergedJournalPath(dir)); !os.IsNotExist(err) {
 					t.Fatal("interrupted campaign wrote a merged journal")
 				}
 
@@ -189,7 +194,7 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 				// must not leak into results.
 				c2 := testCampaign(t, seed)
 				c2.Workers = w%3 + 1
-				res2, err := Run(context.Background(), c2, n, Options{Shards: k, Dir: dir})
+				res2, err := c2.RunSharded(context.Background(), n, k, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,11 +212,11 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 func TestShardJournalOwnership(t *testing.T) {
 	const n = 12
 	dir := t.TempDir()
-	if _, err := Run(context.Background(), testCampaign(t, 5), n, Options{Shards: 3, Dir: dir}); err != nil {
+	if _, err := testCampaign(t, 5).RunSharded(context.Background(), n, 3, dir); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err := Run(context.Background(), testCampaign(t, 6), n, Options{Shards: 3, Dir: dir})
+	_, err := testCampaign(t, 6).RunSharded(context.Background(), n, 3, dir)
 	if err == nil {
 		t.Fatal("foreign campaign reused another campaign's journal directory")
 	}
@@ -219,7 +224,7 @@ func TestShardJournalOwnership(t *testing.T) {
 		t.Fatalf("foreign-directory error does not say so: %v", err)
 	}
 
-	_, err = Run(context.Background(), testCampaign(t, 5), n, Options{Shards: 4, Dir: dir})
+	_, err = testCampaign(t, 5).RunSharded(context.Background(), n, 4, dir)
 	if err == nil {
 		t.Fatal("resume with a different shard partition silently proceeded")
 	}
@@ -229,7 +234,7 @@ func TestShardJournalOwnership(t *testing.T) {
 
 	// The original configuration still resumes (instantly: everything
 	// is journaled).
-	if _, err := Run(context.Background(), testCampaign(t, 5), n, Options{Shards: 3, Dir: dir}); err != nil {
+	if _, err := testCampaign(t, 5).RunSharded(context.Background(), n, 3, dir); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // [Lo, Hi) of the plan list, recorded into Journal. A plain campaign is
 // one unit over [0, n) on Campaign.Journal; a sectioned campaign run by
 // RunSections is one unit per non-empty section on that section's
-// journal; a sharded campaign (internal/fault/shard) is one unit per
-// shard on that shard's journal.
+// journal; a sharded campaign run by RunSharded is one unit per shard
+// on that shard's journal.
 type Unit struct {
 	Lo, Hi int
 	// Journal receives the unit's finished trials; nil runs
