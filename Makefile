@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check bench-compose compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly experiments experiments-paper examples loc clean
+.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly experiments experiments-paper examples loc clean
 
 build:
 	$(GO) build ./...
@@ -98,20 +98,14 @@ bench-check: bench-smoke
 # Sectioned-campaign differential smoke (what CI runs): the composed
 # whole-program distribution must agree with a monolithic campaign on
 # the two fastest workloads, incremental re-analysis accounting must be
-# exact (internal/compose/differential_test.go), and the analytic
-# trial-count advantage is regenerated and diffed against the
-# checked-in BENCH_compose.json — the counts are exact and
-# machine-independent, so the benchdiff gate catches any allocation
-# that balloons. Regenerate the reference with `make bench-compose`.
+# exact (internal/compose/differential_test.go), and every workload's
+# analytic sectioned and monolithic-equivalent trial counts must equal
+# their pinned values with an aggregate reduction of at least 5×
+# (TestSectionedTrialReduction) — the counts are exact and
+# machine-independent, so any allocation that balloons fails.
 compose-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
-		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestIncrementalReanalysis' ./internal/compose
-	$(GO) run ./cmd/composebench -o bench_smoke_compose.json
-	$(GO) run ./cmd/benchdiff -base BENCH_compose.json -min-ns 1 bench_smoke_compose.json
-
-# Regenerate the checked-in sectioned-vs-monolithic trial-count report.
-bench-compose:
-	$(GO) run ./cmd/composebench -o BENCH_compose.json
+		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestIncrementalReanalysis|TestSectionedTrialReduction' ./internal/compose
 
 # Chaos tests for the sharded campaign engine under the race detector:
 # mid-campaign kills and torn/corrupt/deleted shard journals must all
@@ -196,4 +190,4 @@ loc:
 	@printf 'test Go lines:     %s\n' "$$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 clean:
-	rm -f bench_output.txt test_output.txt bench_smoke_interp.json bench_smoke_svm.json bench_smoke_compose.json
+	rm -f bench_output.txt test_output.txt bench_smoke_interp.json bench_smoke_svm.json

@@ -23,15 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
 
-	"ipas/internal/campaign"
-	"ipas/internal/core"
+	"ipas/internal/cli"
 	"ipas/internal/experiments"
-	"ipas/internal/fault"
 )
 
 func main() {
@@ -42,23 +37,17 @@ func main() {
 	samples := flag.Int("samples", 0, "override training sample count")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget for the whole suite (0 = none)")
-	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "journal shards per campaign; >1 splits each campaign's trials into contiguous shards with their own journals (results are bit-identical)")
-	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
-	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch each workflow's collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
-	progress := flag.Bool("progress", false, "report per-campaign progress and error summaries on stderr")
-	sections := flag.Bool("sections", false, "run each campaign sectioned: stratify trials over IR sections with per-section budgets and fingerprint-keyed journals")
-	sectionCoverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
-	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
-	errorModel := flag.String("error-model", "", "error model for every injection campaign: single-bit (default), burst-N, random-N, correlated, sticky")
+	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
-	model, err := fault.ParseModel(*errorModel)
+	// The suite scopes a per-workload RemoteSpec onto these controls
+	// (collection campaigns only; see Suite.optsFor).
+	controls, err := shared.Controls("experiments", os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+	controls.TrainWorkers = *trainWorkers
 
 	params := experiments.Quick()
 	if *paper {
@@ -76,32 +65,8 @@ func main() {
 	}
 	params.Opts.Seed = *seed
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := shared.Context(context.Background())
 	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
-	}
-
-	controls := &core.CampaignControls{
-		Model:           model,
-		MaxRetries:      fault.ExplicitRetries(*maxRetries),
-		TrainWorkers:    *trainWorkers,
-		Shards:          *shards,
-		Watchdog:        *watchdog,
-		Sections:        *sections,
-		SectionCoverage: *sectionCoverage,
-		MaxPerSection:   *maxPerSection,
-	}
-	if *remote != "" {
-		// The suite scopes a per-workload RemoteSpec onto these
-		// controls (collection campaigns only; see Suite.optsFor).
-		controls.Remote = &campaign.Client{Base: *remote}
-	}
-	if *progress {
-		controls.Progress = newProgressReporter()
-	}
 	params.Opts.Controls = controls
 
 	suite := experiments.NewSuite(params)
@@ -124,39 +89,5 @@ func main() {
 		} else {
 			fmt.Println(t.Render())
 		}
-	}
-}
-
-// newProgressReporter returns a stage-aware progress callback: it logs
-// roughly every tenth of each campaign plus its completion, and flags
-// campaigns that finished with failed trials.
-func newProgressReporter() func(stage string, done, total, failed, deadlocked int) {
-	var mu sync.Mutex
-	return func(stage string, done, total, failed, deadlocked int) {
-		step := total / 10
-		if step == 0 {
-			step = 1
-		}
-		if done%step != 0 && done != total {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		what := "trials"
-		// Stage names arrive workload-prefixed ("FFT: train IPAS"),
-		// so match anywhere in the string.
-		if strings.Contains(stage, "train") {
-			what = "grid points"
-		}
-		suffix := ""
-		if deadlocked > 0 {
-			suffix = fmt.Sprintf(", %d deadlocked", deadlocked)
-		}
-		if done == total && failed > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %d/%d %s, %d failed (excluded from proportions)%s\n",
-				stage, done, total, what, failed, suffix)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "experiments: %s: %d/%d %s%s\n", stage, done, total, what, suffix)
 	}
 }

@@ -2,40 +2,32 @@
 // paper's FlipIt role) against one of the five evaluation workloads and
 // prints the outcome proportions of §5.5.
 //
-// The campaign is resilient: Ctrl-C (or -deadline expiry) checkpoints
-// completed trials into the -journal file and exits; re-running with
-// -resume continues from the journal and produces a result
-// bit-identical to an uninterrupted run with the same seed. Trials that
-// hit infrastructure errors are retried up to -max-retries times and
-// then reported without aborting the campaign.
+// The campaign runs through the front end ipas and experiments use
+// (internal/cli, core.CampaignControls.Run) as the stage "campaign".
+// Ctrl-C or -deadline expiry stops it with completed trials
+// checkpointed under the -journal directory — in DIR/campaign.jsonl,
+// in DIR/campaign.shards/ with -shards K > 1 (one journal per shard plus
+// merged.jsonl, the campaignd layout), or in DIR/campaign.sections/ with
+// -sections — and -resume continues to a result bit-identical to an
+// uninterrupted run with the same seed. A journal file or a directory
+// in the older flat layouts is refused with the command that migrates
+// it. Trials that hit infrastructure errors are retried up to
+// -max-retries times and then reported without aborting the campaign.
 //
-// With -shards K (K > 1) the trial space splits into K contiguous
-// shards and -journal names a directory holding one journal per shard
-// plus the canonical merged.jsonl — the layout a campaignd coordinator
-// uses, so either can resume the other's checkpoint. Trials still run
-// on -workers goroutines with per-trial retries, and results are
-// bit-identical to -shards 1.
-//
-// With -remote URL the campaign is submitted to a campaignd
-// coordinator instead of running in-process: the coordinator shards the
-// trial space across its ipas-worker fleet under leases and journals
-// every acked trial durably, and the result printed here is
-// bit-identical to the local run with the same seed.
-//
-// With -sections the trial space stratifies over IR sections
-// (outermost loop nests and the straight-line runs between them): each
-// section gets its own budget from -coverage, the whole-program
-// distribution is composed by population weighting, and -journal names
-// a directory of per-section journals keyed by content fingerprint —
-// re-running after a program edit re-injects only the sections whose
-// IR changed.
+// With -remote URL a campaignd coordinator runs the campaign on its
+// ipas-worker fleet; the result printed is bit-identical to the local
+// run. With -sections the trial space stratifies over IR sections, each
+// with its own budget from -coverage, and the whole-program distribution
+// is composed by population weighting; fingerprint-keyed section
+// journals make a re-run after a program edit re-inject only the
+// sections whose IR changed.
 //
 // Usage:
 //
 //	flipit [-workload NAME] [-input N] [-n TRIALS] [-seed S] [-funcs]
-//	       [-journal FILE|DIR [-resume]] [-deadline D] [-max-retries N]
+//	       [-journal DIR [-resume]] [-deadline D] [-max-retries N]
 //	       [-workers N] [-shards K] [-watchdog D]
-//	       [-remote URL] [-progress]
+//	       [-remote URL] [-progress] [-error-model M] [-model-report]
 //	       [-sections [-coverage N] [-max-per-section N]]
 package main
 
@@ -44,14 +36,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
+	"path/filepath"
 	"sort"
-	"syscall"
+	"strings"
 	"text/tabwriter"
 	"time"
 
 	"ipas/internal/campaign"
+	"ipas/internal/cli"
 	"ipas/internal/compose"
 	"ipas/internal/dup"
 	"ipas/internal/fault"
@@ -61,221 +55,141 @@ import (
 	"ipas/internal/workloads"
 )
 
+// stage names flipit's one campaign in the checkpoint directory.
+const stage = "campaign"
+
 func main() {
-	name := flag.String("workload", "FFT", "workload: CoMD, HPCCG, AMG, FFT, IS, Jacobi, GradDesc")
-	input := flag.Int("input", 1, "input level 1..4 (Table 5)")
-	n := flag.Int("n", 200, "number of injection trials")
-	seed := flag.Int64("seed", 1, "campaign RNG seed")
-	funcs := flag.Bool("funcs", false, "break outcomes down per function")
-	journalPath := flag.String("journal", "", "JSONL trial journal for checkpointing (enables resume)")
-	resume := flag.Bool("resume", false, "continue a campaign from an existing non-empty -journal")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget for the campaign (0 = none)")
-	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	workers := flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "journal shards; >1 makes -journal a directory of per-shard journals plus merged.jsonl (the campaignd layout); results are bit-identical")
-	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog (0 = interpreter default)")
-	remote := flag.String("remote", "", "campaignd coordinator URL; submit the campaign there instead of running locally")
-	progress := flag.Bool("progress", false, "report trial progress on stderr")
-	sections := flag.Bool("sections", false, "sectioned campaign: stratify the trial space over IR sections and compose the whole-program distribution; -n is ignored (the per-section allocation sets the budget) and -journal names a directory of fingerprint-keyed per-section journals reused incrementally across program edits")
-	coverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
-	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
-	errorModel := flag.String("error-model", "", "error model for injected faults: single-bit (default), burst-N, random-N, correlated, sticky")
-	modelReport := flag.Bool("model-report", false, "compare every built-in error model: unprotected outcome distribution plus DMR detector recall per model (two local campaigns per model; ignores -error-model, -journal, -shards, -remote, -sections)")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	model, err := fault.ParseModel(*errorModel)
+// run is the whole command: it parses args, runs the campaign, prints
+// the report to stdout and diagnostics to stderr, and returns the exit
+// status (130 when interrupted).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flipit", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("workload", "FFT", "workload: CoMD, HPCCG, AMG, FFT, IS, Jacobi, GradDesc")
+	input := fs.Int("input", 1, "input level 1..4 (Table 5)")
+	n := fs.Int("n", 200, "number of injection trials (ignored with -sections: the per-section allocation sets the budget)")
+	seed := fs.Int64("seed", 1, "campaign RNG seed")
+	funcs := fs.Bool("funcs", false, "break outcomes down per function")
+	journalDir := fs.String("journal", "", "checkpoint directory for the campaign's journals (enables resume)")
+	resume := fs.Bool("resume", false, "continue a campaign from an existing -journal checkpoint")
+	workers := fs.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS)")
+	modelReport := fs.Bool("model-report", false, "compare every built-in error model: unprotected outcome distribution plus DMR detector recall per model (two local campaigns per model; ignores -error-model, -journal, -shards, -remote, -sections)")
+	shared := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "flipit:", err)
+		return 1
+	}
+
+	cc, err := shared.Controls("flipit", stderr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	// Ctrl-C / SIGTERM cancels the campaign; completed trials are
-	// already in the journal by the time we observe the cancellation.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	cc.Workers = *workers
+	ctx, stop := shared.Context(ctx)
 	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
-	}
 
 	spec, err := workloads.Get(*name, *input)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	m, err := spec.Compile()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	prog, err := fault.Compile(m)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *modelReport {
-		if err := reportModels(ctx, m, spec, prog, *n, *seed, *workers, *maxRetries, *watchdog); err != nil {
-			fatal(err)
+		if err := reportModels(ctx, stdout, m, spec, prog, *n, *seed, *workers, cc.MaxRetries, shared.Watchdog); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	if *remote != "" && *journalPath != "" {
-		fatal(errors.New("-remote and -journal are mutually exclusive: remote campaigns journal durably on the coordinator"))
+	if cc.Remote != nil && *journalDir != "" {
+		return fail(errors.New("-remote and -journal are mutually exclusive: remote campaigns journal durably on the coordinator"))
+	}
+	if shared.Sections && shared.Shards > 1 && cc.Remote == nil {
+		return fail(errors.New("-sections journals per section, not per shard; drop -shards (a -remote coordinator shards sectioned campaigns itself)"))
+	}
+	if err := checkLayout(*journalDir); err != nil {
+		return fail(err)
+	}
+	cp, err := cli.Checkpoint("flipit", *journalDir, *resume, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	if cp != nil {
+		defer cp.Close()
+		cc.Checkpoint = cp
+	}
+	if cc.Remote != nil {
+		wl, in := *name, *input
+		cc.RemoteSpec = func(string) *campaign.Spec { return &campaign.Spec{Workload: wl, Input: in, Ranks: 1} }
 	}
 
-	if *sections && *shards > 1 && *remote == "" {
-		fatal(errors.New("-sections journals per section, not per shard; drop -shards (a -remote coordinator shards sectioned campaigns itself)"))
-	}
-
-	var journal *fault.Journal
-	if *sections && *journalPath != "" {
-		// Sectioned: -journal is a directory of per-section journals
-		// keyed by content fingerprint. Reuse is always incremental —
-		// unchanged sections restore, changed ones rebuild — so there
-		// is no -resume guard to trip.
-	} else if *journalPath != "" && *shards > 1 {
-		// Sharded: -journal is a directory; the engine opens one
-		// journal per shard and validates ownership itself. Only the
-		// resume guard lives here.
-		if entries, err := os.ReadDir(*journalPath); err == nil && len(entries) > 0 {
-			if !*resume {
-				fatal(fmt.Errorf("shard journal dir %s already holds %d files; pass -resume to continue it (or use a fresh directory)",
-					*journalPath, len(entries)))
-			}
-			fmt.Fprintf(os.Stderr, "flipit: resuming from shard journals in %s\n", *journalPath)
-		}
-	} else if *journalPath != "" {
-		journal, err = fault.OpenJournal(*journalPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer journal.Close()
-		if journal.Restored() > 0 && !*resume {
-			fatal(fmt.Errorf("journal %s already holds %d trials; pass -resume to continue it (or delete the file)",
-				*journalPath, journal.Restored()))
-		}
-		if *resume && journal.Restored() > 0 {
-			fmt.Fprintf(os.Stderr, "flipit: resuming: %d trials restored from %s\n", journal.Restored(), *journalPath)
-		}
-	} else if *resume {
-		fatal(fmt.Errorf("-resume requires -journal"))
-	}
-
-	cfg := spec.BaseConfig(1)
-	cfg.Watchdog = *watchdog
-	c := &fault.Campaign{
-		Prog:       prog,
-		Verify:     spec.Verify,
-		Config:     cfg,
-		Seed:       *seed,
-		Model:      model,
-		Workers:    *workers,
-		MaxRetries: fault.ExplicitRetries(*maxRetries),
-		Journal:    journal,
-	}
-	if *sections {
-		c.Sections, c.Coverage, c.MaxPerSection = true, *coverage, *maxPerSection
-	}
-	if *progress {
-		c.Progress = func(done, total, failed, deadlocked int) {
-			if done%50 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "flipit: %d/%d trials (%d failed, %d deadlocked)\n", done, total, failed, deadlocked)
-			}
-		}
-	}
-
-	var (
-		res    *fault.CampaignResult
-		secRes *fault.SectionResult
-	)
-	switch {
-	case *remote != "":
-		rspec := campaign.Spec{
-			Workload:   *name,
-			Input:      *input,
-			Trials:     *n,
-			Seed:       *seed,
-			Model:      fault.ModelName(model),
-			Shards:     *shards,
-			Ranks:      1,
-			MaxRetries: fault.ExplicitRetries(*maxRetries),
-			Watchdog:   *watchdog,
-		}
-		if *sections {
-			// The coordinator derives the trial count from the
-			// per-section allocation.
-			rspec.Sections, rspec.Coverage, rspec.MaxPerSection = true, *coverage, *maxPerSection
-			rspec.Trials = 0
-		}
-		res, err = submitRemote(ctx, *remote, rspec, *progress)
-		if err == nil && res.Failed > 0 {
-			err = errors.New(res.ErrorSummary())
-		}
-		if *sections && res != nil {
-			// Re-derive the (deterministic) section plan locally so the
-			// remote trials can be composed: plans and populations are a
-			// pure function of the spec.
-			prep, perr := c.Prepare(ctx)
-			if perr != nil {
-				fatal(perr)
-			}
-			secRes = &fault.SectionResult{CampaignResult: res, Plan: prep.SectionPlan(), Executed: res.Completed}
-			for _, a := range secRes.Plan.Alloc {
-				secRes.Stats = append(secRes.Stats, fault.SectionStat{
-					Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials,
-				})
-			}
-		}
-	case *sections:
-		prep, perr := c.Prepare(ctx)
-		if perr != nil {
-			fatal(perr)
-		}
-		secRes, err = prep.RunSections(ctx, *journalPath)
-		if secRes != nil {
-			res = secRes.CampaignResult
-		}
-	case *shards > 1:
-		res, err = c.RunSharded(ctx, *n, *shards, *journalPath)
-	default:
-		res, err = c.RunContext(ctx, *n)
-	}
+	c := &fault.Campaign{Prog: prog, Verify: spec.Verify, Config: spec.BaseConfig(1), Seed: *seed, Model: cc.Model}
+	res, err := cc.Run(ctx, c, *n, stage)
 	if res == nil {
-		fatal(err)
+		return fail(err)
+	}
+	secRes := res.Sections
+	if cc.Remote != nil && shared.Sections {
+		// Re-derive the (deterministic) section plan locally so the
+		// remote trials can be composed: plans and populations are a
+		// pure function of the spec.
+		c.Sections, c.Coverage, c.MaxPerSection = true, max(shared.Coverage, 1), shared.MaxPerSection
+		prep, err := c.Prepare(ctx)
+		if err != nil {
+			return fail(err)
+		}
+		secRes = &fault.SectionResult{CampaignResult: res, Plan: prep.SectionPlan(), Executed: res.Completed}
+		for _, a := range secRes.Plan.Alloc {
+			secRes.Stats = append(secRes.Stats, fault.SectionStat{
+				Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials,
+			})
+		}
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "flipit: interrupted (%v): %d/%d trials completed\n", ctx.Err(), res.Completed, *n)
-		if *journalPath != "" {
-			fmt.Fprintf(os.Stderr, "flipit: checkpoint saved; rerun with -journal %s -resume to continue\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "flipit: no -journal was set, so this partial progress is lost on exit")
-		}
+		fmt.Fprintf(stderr, "flipit: interrupted (%v): %d/%d trials completed\n", ctx.Err(), res.Completed, len(res.Trials))
+		cli.Interrupted(stderr, "flipit", *journalDir)
 	} else if err != nil {
 		// Infrastructure failures: the campaign degraded but completed.
-		fmt.Fprintf(os.Stderr, "flipit: degraded campaign: %s\n", res.ErrorSummary())
+		fmt.Fprintf(stderr, "flipit: degraded campaign: %s\n", res.ErrorSummary())
 	}
 	if res.Completed == 0 {
-		fatal(errors.New("no trials completed"))
+		if ctx.Err() != nil {
+			return 130
+		}
+		return fail(errors.New("no trials completed"))
 	}
 
-	total := *n
-	if *sections {
-		total = len(res.Trials)
-	}
-	fmt.Printf("%s input %d (%s): %d/%d injections completed, golden run %d dyn instrs\n",
-		*name, *input, spec.InputDesc, res.Completed, total, res.GoldenDyn)
+	fmt.Fprintf(stdout, "%s input %d (%s): %d/%d injections completed, golden run %d dyn instrs\n",
+		*name, *input, spec.InputDesc, res.Completed, len(res.Trials), res.GoldenDyn)
 	if secRes != nil {
-		printSectioned(secRes)
+		printSectioned(stdout, stderr, secRes)
 	} else {
 		for _, o := range []fault.Outcome{fault.OutcomeSymptom, fault.OutcomeDetected, fault.OutcomeMasked, fault.OutcomeSOC} {
 			p := res.Proportion(o)
-			fmt.Printf("  %-9s %6.2f%%  ± %.2f%% (95%%)\n", o, 100*p, 100*stats.MarginOfError95(p, res.Completed))
+			fmt.Fprintf(stdout, "  %-9s %6.2f%%  ± %.2f%% (95%%)\n", o, 100*p, 100*stats.MarginOfError95(p, res.Completed))
 		}
 	}
 	if res.Deadlocks > 0 {
-		fmt.Printf("  %d trial(s) deadlocked the job; first attribution:\n", res.Deadlocks)
+		fmt.Fprintf(stdout, "  %d trial(s) deadlocked the job; first attribution:\n", res.Deadlocks)
 		for _, tr := range res.Trials {
 			if tr.Deadlock != "" {
-				fmt.Printf("    trial site %d bit %d index %d: %s\n", tr.Site, tr.Bit, tr.Index, tr.Deadlock)
+				fmt.Fprintf(stdout, "    trial site %d bit %d index %d: %s\n", tr.Site, tr.Bit, tr.Index, tr.Deadlock)
 				break
 			}
 		}
@@ -311,71 +225,74 @@ func main() {
 			names = append(names, fn)
 		}
 		sort.Strings(names)
-		fmt.Println("per-function SOC rate:")
+		fmt.Fprintln(stdout, "per-function SOC rate:")
 		for _, fn := range names {
 			a := byFn[fn]
-			fmt.Printf("  %-16s %3d/%3d trials SOC (%.1f%%)\n",
+			fmt.Fprintf(stdout, "  %-16s %3d/%3d trials SOC (%.1f%%)\n",
 				"@"+fn, a.soc, a.total, 100*float64(a.soc)/float64(a.total))
 		}
 	}
 
 	if ctx.Err() != nil {
-		os.Exit(130)
+		return 130
 	}
+	return 0
 }
 
 // printSectioned reports a sectioned campaign: the composed
 // whole-program distribution (raw trial proportions would overweight
 // cold sections), per-section dispositions, and the incremental-reuse
 // accounting.
-func printSectioned(secRes *fault.SectionResult) {
+func printSectioned(stdout, stderr io.Writer, secRes *fault.SectionResult) {
 	d, err := compose.Whole(compose.FromSectionResult(secRes))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flipit: composing sections: %v\n", err)
+		fmt.Fprintf(stderr, "flipit: composing sections: %v\n", err)
 	} else {
-		fmt.Printf("composed whole-program distribution (population-weighted over %d sections):\n", len(secRes.Plan.Alloc))
+		fmt.Fprintf(stdout, "composed whole-program distribution (population-weighted over %d sections):\n", len(secRes.Plan.Alloc))
 		for _, o := range []fault.Outcome{fault.OutcomeSymptom, fault.OutcomeDetected, fault.OutcomeMasked, fault.OutcomeSOC} {
-			fmt.Printf("  %-9s %6.2f%%\n", o, 100*d[o])
+			fmt.Fprintf(stdout, "  %-9s %6.2f%%\n", o, 100*d[o])
 		}
 	}
-	fmt.Printf("sectioned: %d trials executed, %d restored from journals; monolithic equivalent at equal coverage: %d trials\n",
+	fmt.Fprintf(stdout, "sectioned: %d trials executed, %d restored from journals; monolithic equivalent at equal coverage: %d trials\n",
 		secRes.Executed, secRes.Restored, secRes.Plan.MonoTrials)
-	fmt.Println("per-section allocation:")
+	fmt.Fprintln(stdout, "per-section allocation:")
 	for _, st := range secRes.Stats {
-		fmt.Printf("  %-32s pop %8d  trials %4d  restored %4d  fp %.12s\n",
+		fmt.Fprintf(stdout, "  %-32s pop %8d  trials %4d  restored %4d  fp %.12s\n",
 			st.Label, st.Pop, st.Trials, st.Restored, st.FP)
 	}
 }
 
-// submitRemote dispatches the campaign to a campaignd coordinator and
-// polls it to completion. The coordinator's workers run the identical
-// plan sequence, so the returned result is bit-identical to a local
-// run with the same flags.
-func submitRemote(ctx context.Context, url string, spec campaign.Spec, progress bool) (*fault.CampaignResult, error) {
-	client := &campaign.Client{Base: url}
-	sub, status, err := client.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
+// checkLayout refuses a -journal path in a layout older flipit versions
+// wrote: a journal file, or a directory holding shard or section
+// journals at its top level. Neither is where the checkpoint directory
+// keeps the campaign's journals, so -resume would quietly start from
+// scratch; the error carries the command that migrates the checkpoint.
+func checkLayout(dir string) error {
+	if dir == "" {
+		return nil
 	}
-	switch status {
-	case 200:
-		fmt.Fprintf(os.Stderr, "flipit: coordinator resumed campaign %s (%d trials restored)\n", sub.ID, sub.Restored)
-	case 202:
-		fmt.Fprintf(os.Stderr, "flipit: coordinator recovered campaign %s (corrupt shard journals %v re-run)\n", sub.ID, sub.RecoveredShards)
-	default:
-		fmt.Fprintf(os.Stderr, "flipit: campaign %s submitted to %s\n", sub.ID, url)
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		to := strings.TrimSuffix(dir, filepath.Ext(dir))
+		if to == dir {
+			to += ".d"
+		}
+		return fmt.Errorf("-journal %s is a journal file, but -journal now names a checkpoint directory; migrate it with\n\tmkdir %s && mv %s %s\nand rerun with -journal %s",
+			dir, to, dir, filepath.Join(to, stage+".jsonl"), to)
 	}
-	var onProgress func(campaign.Progress)
-	if progress {
-		last := -1
-		onProgress = func(p campaign.Progress) {
-			if p.Done != last {
-				last = p.Done
-				fmt.Fprintf(os.Stderr, "flipit: %d/%d trials (%d failed, %d deadlocked)\n", p.Done, p.Trials, p.Failed, p.Deadlocked)
+	for _, l := range [][]string{{".shards", "shard-*.jsonl", "merged.jsonl"}, {".sections", "sec-*.jsonl"}} {
+		var old []string
+		for _, glob := range l[1:] {
+			if m, _ := filepath.Glob(filepath.Join(dir, glob)); len(m) > 0 {
+				old = append(old, filepath.Join(dir, glob))
 			}
 		}
+		if len(old) > 0 {
+			to := filepath.Join(dir, stage+l[0])
+			return fmt.Errorf("-journal %s holds journals in the old flat layout, but they now belong in %s; migrate them with\n\tmkdir %s && mv %s %s/\nand rerun with the same -journal",
+				dir, to, to, strings.Join(old, " "), to)
+		}
 	}
-	return client.WaitResult(ctx, sub.ID, time.Second, onProgress)
+	return nil
 }
 
 // reportModels runs the per-model resilience comparison: for every
@@ -386,7 +303,7 @@ func submitRemote(ctx context.Context, url string, spec campaign.Spec, progress 
 // Recall = Detected / (Detected + SOC) on the protected build — the
 // figure that collapses when a model defeats the protection's
 // single-upset assumption.
-func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog *interp.Program, trials int, seed int64, workers, maxRetries int, watchdog time.Duration) error {
+func reportModels(ctx context.Context, stdout io.Writer, m *ir.Module, spec *workloads.Spec, prog *interp.Program, trials int, seed int64, workers, maxRetries int, watchdog time.Duration) error {
 	pm := ir.CloneModule(m)
 	st, err := dup.FullDuplication(pm)
 	if err != nil {
@@ -399,7 +316,7 @@ func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog 
 	cfg := spec.BaseConfig(1)
 	cfg.Watchdog = watchdog
 
-	run := func(p *interp.Program, model fault.ErrorModel) (*fault.CampaignResult, error) {
+	runOne := func(p *interp.Program, model fault.ErrorModel) (*fault.CampaignResult, error) {
 		c := &fault.Campaign{
 			Prog:       p,
 			Verify:     spec.Verify,
@@ -419,16 +336,16 @@ func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog 
 		return res, nil
 	}
 
-	fmt.Printf("error-model report: %d trials per campaign, seed %d; DMR build duplicates %d of %d instructions\n",
+	fmt.Fprintf(stdout, "error-model report: %d trials per campaign, seed %d; DMR build duplicates %d of %d instructions\n",
 		trials, seed, st.Duplicated, st.Candidates)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "model\tsymptom%\tdetected%\tmasked%\tSOC%\t|\tDMR SOC%\tDMR recall%")
 	for _, model := range fault.BuiltinModels() {
-		base, err := run(prog, model)
+		base, err := runOne(prog, model)
 		if err != nil {
 			return err
 		}
-		prot, err := run(pprog, model)
+		prot, err := runOne(pprog, model)
 		if err != nil {
 			return err
 		}
@@ -448,9 +365,4 @@ func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog 
 			recall)
 	}
 	return w.Flush()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "flipit:", err)
-	os.Exit(1)
 }

@@ -33,18 +33,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
 	"ipas"
 	"ipas/internal/campaign"
+	"ipas/internal/cli"
 	"ipas/internal/core"
 	"ipas/internal/fault"
 	"ipas/internal/ir"
@@ -63,26 +60,13 @@ func main() {
 	withClassifier := flag.String("with-classifier", "", "skip training: protect using a previously saved classifier and write the module to -save-protected")
 	journalDir := flag.String("journal", "", "checkpoint directory: one JSONL trial journal per campaign stage")
 	resume := flag.Bool("resume", false, "continue an interrupted workflow from the -journal directory")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget for the workflow (0 = none)")
-	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "journal shards per campaign; >1 checkpoints each campaign as per-shard journals (the campaignd layout); results are bit-identical")
-	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
-	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch the collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
-	progress := flag.Bool("progress", false, "report campaign and training progress on stderr")
-	sections := flag.Bool("sections", false, "run each campaign sectioned: stratify trials over IR sections with per-section budgets and fingerprint-keyed journals")
-	sectionCoverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
-	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
 	incremental := flag.Bool("incremental", false, "incremental re-analysis: implies -sections and -resume, so a re-run against the same -journal re-injects only sections whose IR changed")
-	errorModel := flag.String("error-model", "", "error model for every injection campaign: single-bit (default), burst-N, random-N, correlated, sticky")
+	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
 	if *incremental {
-		*sections = true
+		shared.Sections = true
 		*resume = true
-	}
-	model, err := fault.ParseModel(*errorModel)
-	if err != nil {
-		fatal(err)
 	}
 
 	opts := ipas.QuickOptions()
@@ -100,31 +84,20 @@ func main() {
 	}
 	opts.Seed = *seed
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := shared.Context(context.Background())
 	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
-	}
 
-	controls := &core.CampaignControls{
-		Model:           model,
-		MaxRetries:      fault.ExplicitRetries(*maxRetries),
-		TrainWorkers:    *trainWorkers,
-		Shards:          *shards,
-		Watchdog:        *watchdog,
-		Sections:        *sections,
-		SectionCoverage: *sectionCoverage,
-		MaxPerSection:   *maxPerSection,
+	controls, err := shared.Controls("ipas", os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
-	if *remote != "" {
+	controls.TrainWorkers = *trainWorkers
+	if controls.Remote != nil {
 		// Only the collection campaign is spec-expressible (it runs the
 		// unmodified workload); protected-variant evaluations cannot
 		// round-trip through source text, so they degrade gracefully to
 		// local execution.
 		wl, in := *name, *input
-		controls.Remote = &campaign.Client{Base: *remote}
 		controls.RemoteSpec = func(stage string) *campaign.Spec {
 			if stage != "collect" {
 				return nil
@@ -132,33 +105,13 @@ func main() {
 			return &campaign.Spec{Workload: wl, Input: in, Ranks: 1}
 		}
 	}
-	if *progress {
-		controls.Progress = func(stage string, done, total, failed, deadlocked int) {
-			if done%50 == 0 || done == total {
-				what := "trials"
-				if strings.Contains(stage, "train") {
-					what = "grid points"
-				}
-				extra := ""
-				if deadlocked > 0 {
-					extra = fmt.Sprintf(", %d deadlocked", deadlocked)
-				}
-				fmt.Fprintf(os.Stderr, "ipas: %s: %d/%d %s (%d failed%s)\n", stage, done, total, what, failed, extra)
-			}
-		}
+	cp, err := cli.Checkpoint("ipas", *journalDir, *resume, os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
-	if *journalDir != "" {
-		cp, err := ipas.NewCheckpoint(*journalDir, *resume)
-		if err != nil {
-			fatal(err)
-		}
+	if cp != nil {
 		defer cp.Close()
 		controls.Checkpoint = cp
-		if *resume {
-			fmt.Fprintf(os.Stderr, "ipas: resuming from checkpoint directory %s\n", *journalDir)
-		}
-	} else if *resume {
-		fatal(errors.New("-resume requires -journal"))
 	}
 	opts.Controls = controls
 
@@ -198,11 +151,7 @@ func main() {
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "ipas: interrupted after %v: %v\n", time.Since(t0).Round(10*time.Millisecond), err)
-			if *journalDir != "" {
-				fmt.Fprintf(os.Stderr, "ipas: checkpoint saved; rerun with -journal %s -resume to continue\n", *journalDir)
-			} else {
-				fmt.Fprintln(os.Stderr, "ipas: no -journal was set, so this partial progress is lost on exit")
-			}
+			cli.Interrupted(os.Stderr, "ipas", *journalDir)
 			os.Exit(130)
 		}
 		fatal(err)

@@ -77,8 +77,8 @@ func runDifferential(t *testing.T, name string) {
 		t.Errorf("composed and monolithic distributions disagree: L∞ = %.3f > %.2f", diff, agreementBound)
 	}
 	// The analytic equal-coverage comparison must favor sectioning on
-	// every mini-app (the checked-in BENCH_compose.json asserts the
-	// aggregate ≥5× bound; here we only require it helps at all).
+	// every mini-app (TestSectionedTrialReduction pins the exact counts
+	// and the aggregate ≥5× bound; here we only require it helps at all).
 	if secRes.Plan.MonoTrials <= int64(secRes.Plan.Total) {
 		t.Errorf("sectioning does not reduce trials: %d sectioned vs %d monolithic",
 			secRes.Plan.Total, secRes.Plan.MonoTrials)

@@ -147,7 +147,8 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 // journal directory whose fingerprint-keyed journals make resumption
 // incremental across program edits: only sections whose IR changed
 // re-execute. Like the other engines it returns the result beside
-// per-trial failures, so a degraded stage is reported, not discarded.
+// per-trial failures, so a degraded stage is reported, not discarded;
+// the result's Sections field carries the per-section accounting.
 func (cc *CampaignControls) runSectioned(ctx context.Context, c *fault.Campaign, stage string) (*fault.CampaignResult, error) {
 	c.Sections = true
 	c.Coverage = max(cc.SectionCoverage, 1)

@@ -201,6 +201,10 @@ type CampaignResult struct {
 	// job (structural deadlock declared by the rank supervisor); each
 	// such trial carries the attribution in Trial.Deadlock.
 	Deadlocks int
+	// Sections, set by Prepared.RunSections, is the sectioned run this
+	// result belongs to: its plan and per-section accounting (restored
+	// and executed trials). Nil for flat and remote campaigns.
+	Sections *SectionResult `json:"-"`
 }
 
 // Proportion returns the fraction of completed trials with outcome o.
@@ -296,8 +300,8 @@ type Campaign struct {
 	// MaxPerSection caps one section's trial allocation (test and
 	// smoke-run budgets); 0 = uncapped. Capping trades per-site
 	// coverage in hot sections for bounded wall clock; the analytic
-	// trial-count comparison (cmd/composebench) always reports the
-	// uncapped numbers.
+	// trial-count comparison (internal/compose's
+	// TestSectionedTrialReduction) always uses the uncapped numbers.
 	MaxPerSection int
 	// Workers bounds concurrent trial execution (default: GOMAXPROCS).
 	// Trials are independent interpreter runs and the plan sequence is

@@ -215,7 +215,7 @@ type SectionStat struct {
 	Restored int    `json:"restored"`
 }
 
-// / SectionResult is a sectioned campaign's outcome: the concatenated
+// SectionResult is a sectioned campaign's outcome: the concatenated
 // trials (global SiteIDs, ready for internal/features and
 // internal/compose) plus per-section accounting that incremental
 // re-analysis and its tests assert against.
@@ -252,6 +252,7 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 	}
 	plans := sp.plans(sp.Total)
 	out := &SectionResult{CampaignResult: p.NewResult(plans), Plan: sp}
+	out.CampaignResult.Sections = out
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("fault: creating section journal dir: %w", err)
